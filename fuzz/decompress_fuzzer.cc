@@ -2,20 +2,27 @@
 // IsobarCompressor::Decompress, DecompressRange, DecompressColumns, and
 // IsobarStreamReader (sequential and SeekToChunk-driven) under all three
 // ChunkErrorPolicy values — so v2 index-footer parsing and its sequential
-// fallback are both explored. The invariant is bounded, crash-free
+// fallback are both explored. The invariants are bounded, crash-free
 // behaviour for arbitrary bytes — any failure must surface as a clean
-// Status.
+// Status — and reader agreement, which traps when broken: (a) where the
+// element total is known, a whole-container DecompressRange under a
+// salvage policy equals Decompress under kZeroFill; (b) unless the tail
+// framing is lost, the concatenated NextChunk output equals Decompress
+// under the same policy.
 //
 // With clang the target links against libFuzzer (-fsanitize=fuzzer, see
 // fuzz/CMakeLists.txt). Other toolchains build the same source as a
 // standalone replay driver: each argument is a corpus file or directory,
 // and every file runs through the fuzz body once — the CI smoke mode for
 // containers without clang.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "core/container.h"
 #include "core/isobar.h"
+#include "core/read_plan.h"
 #include "core/stream.h"
 #include "util/bytes.h"
 
@@ -23,46 +30,70 @@ namespace {
 
 // Large inputs only slow exploration down, and a small container can
 // legally declare huge chunks (or a huge element total, which salvage
-// paths pad to) — cap what one iteration may allocate.
+// paths zero-fill to) — cap what one iteration may allocate.
 constexpr size_t kMaxInputBytes = 1 << 16;
 constexpr uint64_t kMaxDeclaredChunkBytes = 1 << 20;
-constexpr uint64_t kMaxDeclaredTotalBytes = 1 << 22;
+constexpr uint64_t kMaxOutputBytes = 1 << 22;
 
-void DecodeEveryPolicy(isobar::ByteSpan container) {
-  using isobar::ChunkErrorPolicy;
+using isobar::Bytes;
+using isobar::ChunkErrorPolicy;
+using isobar::IsobarCompressor;
+
+isobar::DecompressOptions Options(ChunkErrorPolicy policy,
+                                  isobar::SalvageReport* report) {
+  isobar::DecompressOptions options;
+  options.num_threads = 1;
+  options.on_chunk_error = policy;
+  options.salvage_report = report;
+  return options;
+}
+
+void DecodeEveryPolicy(isobar::ByteSpan container, uint64_t total) {
+  const auto zero_filled = IsobarCompressor::Decompress(
+      container, Options(ChunkErrorPolicy::kZeroFill, nullptr));
   for (ChunkErrorPolicy policy : {ChunkErrorPolicy::kFail,
                                   ChunkErrorPolicy::kSkip,
                                   ChunkErrorPolicy::kZeroFill}) {
-    isobar::DecompressOptions options;
-    options.num_threads = 1;
-    options.on_chunk_error = policy;
     isobar::SalvageReport report;
-    options.salvage_report = &report;
-    auto batch = isobar::IsobarCompressor::Decompress(container, options);
-    (void)batch;
+    const isobar::DecompressOptions options = Options(policy, &report);
+    const auto batch = IsobarCompressor::Decompress(container, options);
+    const bool tail_lost = report.truncated_tail;
 
     // Range and column reads: the index-footer planner when the input
     // carries a valid v2 footer, the sequential-walk fallback otherwise.
-    (void)isobar::IsobarCompressor::DecompressRange(container, 0, 1, options);
-    (void)isobar::IsobarCompressor::DecompressRange(container, 500, 1700,
-                                                    options);
-    (void)isobar::IsobarCompressor::DecompressRange(container, 7, 7, options);
-    (void)isobar::IsobarCompressor::DecompressColumns(container, 0x5, options);
+    (void)IsobarCompressor::DecompressRange(container, 0, 1, options);
+    (void)IsobarCompressor::DecompressRange(container, 500, 1700, options);
+    (void)IsobarCompressor::DecompressRange(container, 7, 7, options);
+    (void)IsobarCompressor::DecompressColumns(container, 0x5, options);
+    if (policy != ChunkErrorPolicy::kFail &&
+        total != isobar::container::kUnknownCount) {
+      const auto range =
+          IsobarCompressor::DecompressRange(container, 0, total, options);
+      if (range.ok() != zero_filled.ok() ||
+          (range.ok() && *range != *zero_filled)) {
+        __builtin_trap();  // (a)
+      }
+    }
 
     isobar::IsobarStreamReader reader(container, options);
-    if (reader.Init().ok()) {
-      isobar::Bytes chunk;
-      for (;;) {
-        auto more = reader.NextChunk(&chunk);
-        if (!more.ok() || !*more) break;
-      }
+    isobar::Status status = reader.Init();
+    Bytes streamed;
+    Bytes chunk;
+    while (status.ok()) {
+      auto more = reader.NextChunk(&chunk);
+      status = more.status();
+      if (!more.ok() || !*more) break;
+      streamed.insert(streamed.end(), chunk.begin(), chunk.end());
+    }
+    if (!tail_lost &&
+        (batch.ok() != status.ok() || (batch.ok() && *batch != streamed))) {
+      __builtin_trap();  // (b)
     }
 
     // Seek-driven access: forward past a record, decode, rewind to the
     // start — O(1) through the index, SkipChunk-driven without one.
     isobar::IsobarStreamReader seeker(container, options);
     if (seeker.Init().ok()) {
-      isobar::Bytes chunk;
       if (seeker.SeekToChunk(1).ok()) (void)seeker.NextChunk(&chunk);
       if (seeker.SeekToChunk(0).ok()) (void)seeker.NextChunk(&chunk);
     }
@@ -74,25 +105,31 @@ void DecodeEveryPolicy(isobar::ByteSpan container) {
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (size > kMaxInputBytes) return 0;
   const isobar::ByteSpan container(data, size);
-  // Skip inputs whose (validated) header still declares chunks big enough
-  // to turn one iteration into an allocation benchmark.
-  size_t offset = 0;
-  auto header = isobar::container::ParseHeader(container, &offset);
-  if (header.ok()) {
-    uint64_t chunk_bytes = 0, total_bytes = 0;
-    if (!isobar::container::CheckedMul64(header->chunk_elements,
-                                         header->width, &chunk_bytes) ||
-        chunk_bytes > kMaxDeclaredChunkBytes) {
-      return 0;
+  // Skip inputs whose record ranges, as the read plan resolves them,
+  // would turn one iteration into an allocation benchmark: every reader
+  // sizes its output from those ranges (or the declared total).
+  uint64_t total = isobar::container::kUnknownCount;
+  auto plan = isobar::ReadPlan::Open(
+      container, Options(ChunkErrorPolicy::kZeroFill, nullptr));
+  if (plan.ok()) {
+    const isobar::container::Header& header = plan->header();
+    const std::vector<isobar::PlannedRecord> records = plan->LocateAll();
+    uint64_t elements = records.empty() ? 0 : records.back().element_end();
+    if (plan->counted()) {
+      total = header.element_count;
+      elements = std::max(elements, total);
     }
-    if (header->element_count != isobar::container::kUnknownCount &&
-        (!isobar::container::CheckedMul64(header->element_count,
-                                          header->width, &total_bytes) ||
-         total_bytes > kMaxDeclaredTotalBytes)) {
+    uint64_t chunk_bytes = 0, output_bytes = 0;
+    if (!isobar::container::CheckedMul64(header.chunk_elements, header.width,
+                                         &chunk_bytes) ||
+        chunk_bytes > kMaxDeclaredChunkBytes ||
+        !isobar::container::CheckedMul64(elements, header.width,
+                                         &output_bytes) ||
+        output_bytes > kMaxOutputBytes) {
       return 0;
     }
   }
-  DecodeEveryPolicy(container);
+  DecodeEveryPolicy(container, total);
   return 0;
 }
 

@@ -43,6 +43,17 @@ Result<Bytes> BatchContainer(uint16_t container_version) {
   return compressor.Compress(dataset.bytes(), dataset.width());
 }
 
+// Container offset of record `index`'s chunk header.
+size_t RecordOffset(const Bytes& container, size_t index) {
+  size_t offset = container::kHeaderSize;
+  for (size_t i = 0; i < index; ++i) {
+    auto chunk = container::ParseChunkHeader(container, &offset);
+    if (!chunk.ok()) return offset;
+    offset += chunk->compressed_size + chunk->raw_size;
+  }
+  return offset;
+}
+
 Result<Bytes> StreamedContainer() {
   ISOBAR_ASSIGN_OR_RETURN(const DatasetSpec* spec,
                           FindDatasetSpec("msg_sweep3d"));
@@ -178,6 +189,18 @@ int Run(const std::filesystem::path& dir) {
              8, 0x5A);
   ok = ok && WriteFile(dir, "footer-entry-smash.isbr", entry_smash);
 
+  // Record-count damage that must neither resize the output nor shift the
+  // records after it: the short last record of the streamed container
+  // claiming more than a chunk, and a middle record one element short.
+  Bytes count_above = *streamed;
+  SmashBytes(&count_above, RecordOffset(count_above, 2), 8, 0xEE);
+  ok = ok && WriteFile(dir, "count-above-last.isbr", count_above);
+
+  Bytes count_below = *batch;
+  uint8_t* middle_count = count_below.data() + RecordOffset(count_below, 1);
+  StoreLE64(middle_count, LoadLE64(middle_count) - 1);
+  ok = ok && WriteFile(dir, "count-minus-one-middle.isbr", count_below);
+
   Status codec_seeds = WriteCodecSeeds(dir);
   if (!codec_seeds.ok()) {
     std::cerr << "codec seed generation failed: " << codec_seeds.ToString()
@@ -185,7 +208,7 @@ int Run(const std::filesystem::path& dir) {
     return 1;
   }
 
-  if (ok) std::cout << "wrote 16 corpus seeds to " << dir << "\n";
+  if (ok) std::cout << "wrote 18 corpus seeds to " << dir << "\n";
   return ok ? 0 : 1;
 }
 

@@ -30,6 +30,9 @@
 #                                  # isobard under isobar_loadgen (asserts
 #                                  # zero protocol errors and a sane
 #                                  # reject/accept split)
+#   scripts/ci.sh perfbench        # benchmark-of-record self-test: builds
+#                                  # perfbench against src/ and runs every
+#                                  # workload once at tiny scale
 #   scripts/ci.sh asan -R telemetry  # extra args are forwarded to ctest
 #
 # The tsan configuration exports ISOBAR_TEST_THREADS (default 4) so every
@@ -95,15 +98,15 @@ asan() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DISOBAR_SANITIZE=address \
     -DISOBAR_BUILD_BENCHMARKS=OFF
-  # Second, focused pass over the seekable-container suites: the
-  # range/column planners do exactly the offset arithmetic the index
-  # footer enables, which is where an off-by-one becomes a heap
-  # over-read — worth a dedicated lane entry so a failure names the
-  # feature, not just the build.
-  echo "=== [asan] range/column focus ==="
+  # Second, focused pass over the container-read suites: the read plan
+  # does exactly the offset arithmetic the index footer enables, and the
+  # salvage paths size outputs from damaged records, which is where an
+  # off-by-one becomes a heap over-read — worth a dedicated lane entry so
+  # a failure names the feature, not just the build.
+  echo "=== [asan] container-read focus ==="
   ctest --test-dir build-ci-asan --output-on-failure -j "${JOBS}" \
-    -R 'RangeReadTest|ColumnReadTest|SeekToChunkTest|FooterIdentityTest'
-  echo "=== [asan] range/column focus OK ==="
+    -R 'RangeReadTest|ColumnReadTest|SeekToChunkTest|FooterIdentityTest|Salvage|ReaderAgreementTest'
+  echo "=== [asan] container-read focus OK ==="
 }
 
 tsan() {
@@ -320,9 +323,21 @@ fuzz() {
   echo "=== [${name}] OK ==="
 }
 
+# Benchmark-of-record self-test: perfbench compiles against src/ and calls
+# the container:: parse functions directly, so an API break should fail
+# here rather than in the next benchmark run. run.py builds into
+# .bench_build/ (or $CARGO_TARGET_DIR), runs every workload once at tiny
+# scale in both modes, and checks the result schema and that a corrupted
+# container is counted as failed operations.
+perfbench() {
+  echo "=== [perfbench] self-test ==="
+  python3 perfbench/run.py --self-test
+  echo "=== [perfbench] OK ==="
+}
+
 for arg in "$@"; do
   case "${arg}" in
-    release|asan|tsan|scalar|lzans|notelemetry|ubsan|fuzz|bench|server) CONFIGS+=("${arg}") ;;
+    release|asan|tsan|scalar|lzans|notelemetry|ubsan|fuzz|bench|server|perfbench) CONFIGS+=("${arg}") ;;
     *) CTEST_ARGS+=("${arg}") ;;
   esac
 done

@@ -10,13 +10,6 @@
 #include "util/stopwatch.h"
 
 namespace isobar {
-namespace {
-
-uint64_t FullMask(size_t width) {
-  return width >= 64 ? ~0ull : ((1ull << width) - 1);
-}
-
-}  // namespace
 
 Status EncodeChunk(const Analyzer& analyzer, const Codec& codec,
                    Linearization linearization, ByteSpan chunk, size_t width,
@@ -182,15 +175,14 @@ void MergeChunkStats(const CompressionStats& chunk, CompressionStats* total) {
   total->chunk_count += chunk.chunk_count;
 }
 
-Status DecodeChunkPayload(const container::ChunkHeader& chunk_header,
-                          ByteSpan compressed_section, ByteSpan raw_section,
-                          const Codec& codec, Linearization linearization,
-                          size_t width, bool verify_checksums,
-                          MutableByteSpan dest, DecompressionStats* stats,
-                          ChunkFailureStage* failed_stage,
-                          ScratchArena* arena, uint64_t chunk_ordinal,
-                          Linearization raw_linearization) {
+namespace {
+
+Status DecodePayload(const ReadPlan& plan, const PlannedRecord& record,
+                     MutableByteSpan dest, DecompressionStats* stats,
+                     ChunkFailureStage* failed_stage) {
   if (failed_stage != nullptr) *failed_stage = ChunkFailureStage::kPayload;
+  const container::ChunkHeader& chunk_header = record.header;
+  const size_t width = plan.header().width;
   const uint64_t full_mask = FullMask(width);
   const bool undetermined =
       (chunk_header.flags & container::kChunkUndetermined) != 0;
@@ -210,22 +202,22 @@ Status DecodeChunkPayload(const container::ChunkHeader& chunk_header,
     return Status::Corruption("container: raw section size mismatch");
   }
 
-  Bytes local_decoded;
-  Bytes& decoded = arena != nullptr ? arena->buffer(ScratchArena::kDecoded)
-                                    : local_decoded;
+  ScratchArena& arena = ScratchArena::ThreadLocal();
+  Bytes& decoded = arena.buffer(ScratchArena::kDecoded);
   ByteSpan packed;
   {
-    telemetry::ScopedSpan decode_span("chunk.decode", 0, chunk_ordinal + 1);
+    telemetry::ScopedSpan decode_span("chunk.decode", 0, record.index + 1);
     Stopwatch decode_timer;
     if (chunk_header.flags & container::kChunkStoredRaw) {
-      if (compressed_section.size() != expected_packed) {
+      if (record.compressed.size() != expected_packed) {
         return Status::Corruption("container: stored section size mismatch");
       }
-      packed = compressed_section;
+      packed = record.compressed;
     } else {
       decoded.clear();  // Arena slot may hold the previous chunk's output.
       ISOBAR_RETURN_NOT_OK(
-          codec.Decompress(compressed_section, expected_packed, &decoded));
+          plan.codec().Decompress(record.compressed, expected_packed,
+                                  &decoded));
       packed = ByteSpan(decoded);
     }
     if (stats != nullptr) {
@@ -233,14 +225,15 @@ Status DecodeChunkPayload(const container::ChunkHeader& chunk_header,
     }
   }
 
-  telemetry::ScopedSpan scatter_span("chunk.scatter", 0, chunk_ordinal + 1);
+  telemetry::ScopedSpan scatter_span("chunk.scatter", 0, record.index + 1);
   Stopwatch scatter_timer;
-  ISOBAR_RETURN_NOT_OK(
-      ScatterColumns(packed, width, mask, linearization, dest));
-  ISOBAR_RETURN_NOT_OK(ScatterColumns(raw_section, width, full_mask & ~mask,
-                                      raw_linearization, dest));
+  ISOBAR_RETURN_NOT_OK(ScatterColumns(packed, width, mask,
+                                      plan.header().linearization, dest));
+  ISOBAR_RETURN_NOT_OK(ScatterColumns(
+      record.raw, width, full_mask & ~mask,
+      container::RawSectionLinearization(plan.header().version), dest));
 
-  if (verify_checksums) {
+  if (plan.options().verify_checksums) {
     const uint32_t crc = crc32c::Extend(0, dest.data(), dest.size());
     if (crc != chunk_header.crc32c) {
       static telemetry::Counter& crc_failures =
@@ -257,7 +250,7 @@ Status DecodeChunkPayload(const container::ChunkHeader& chunk_header,
     ++stats->chunk_count;
   }
 
-  if (arena != nullptr) arena->PublishStats();
+  arena.PublishStats();
 
   static telemetry::Counter& chunks_decoded =
       telemetry::GetCounter("pipeline.chunks_decoded");
@@ -265,56 +258,15 @@ Status DecodeChunkPayload(const container::ChunkHeader& chunk_header,
   return Status::OK();
 }
 
-Status DecodeChunk(ByteSpan container_bytes, size_t* offset,
-                   const Codec& codec, Linearization linearization,
-                   size_t width, uint64_t max_elements, bool verify_checksums,
-                   Bytes* out, DecompressionStats* stats,
-                   uint64_t chunk_index, ChunkFailureStage* failed_stage,
-                   container::ChunkHeader* header_out, ScratchArena* arena,
-                   Linearization raw_linearization) {
-  telemetry::ScopedSpan chunk_span("decompress.chunk", 0, chunk_index + 1);
-  if (failed_stage != nullptr) *failed_stage = ChunkFailureStage::kHeader;
-  const size_t record_offset = *offset;
+}  // namespace
 
-  Stopwatch parse_timer;
-  auto parsed = container::ParseChunkHeader(container_bytes, offset);
-  if (!parsed.ok()) {
-    return AnnotateChunkError(parsed.status(), chunk_index, record_offset);
-  }
-  const container::ChunkHeader chunk_header = *parsed;
-  if (header_out != nullptr) *header_out = chunk_header;
-  // The section sizes are bounds-checked by ParseChunkHeader, so the
-  // record's extent is known even when its element count is corrupt:
-  // advance past the payload before validating, keeping later records
-  // reachable for salvage-mode callers.
-  const ByteSpan compressed_section =
-      container_bytes.subspan(*offset, chunk_header.compressed_size);
-  *offset += chunk_header.compressed_size;
-  const ByteSpan raw_section =
-      container_bytes.subspan(*offset, chunk_header.raw_size);
-  *offset += chunk_header.raw_size;
-  if (stats != nullptr) stats->parse_seconds += parse_timer.ElapsedSeconds();
-  if (chunk_header.element_count > max_elements) {
-    return AnnotateChunkError(
-        Status::Corruption("container: chunk claims more elements than the "
-                           "header's chunk size"),
-        chunk_index, record_offset);
-  }
-
-  const size_t chunk_base = out->size();
-  out->resize(chunk_base + chunk_header.element_count * width);
-  MutableByteSpan dest(out->data() + chunk_base,
-                       chunk_header.element_count * width);
-  Status status = DecodeChunkPayload(chunk_header, compressed_section,
-                                     raw_section, codec, linearization, width,
-                                     verify_checksums, dest, stats,
-                                     failed_stage, arena, chunk_index,
-                                     raw_linearization);
-  if (!status.ok()) {
-    out->resize(chunk_base);  // Drop partially scattered bytes.
-    return AnnotateChunkError(status, chunk_index, record_offset);
-  }
-  return status;
+Status DecodeChunkPayload(const ReadPlan& plan, const PlannedRecord& record,
+                          MutableByteSpan dest, DecompressionStats* stats,
+                          ChunkFailureStage* failed_stage) {
+  telemetry::ScopedSpan chunk_span("decompress.chunk", 0, record.index + 1);
+  return AnnotateChunkError(
+      DecodePayload(plan, record, dest, stats, failed_stage), record.index,
+      record.byte_offset);
 }
 
 }  // namespace isobar

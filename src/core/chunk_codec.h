@@ -5,6 +5,7 @@
 #include "core/analyzer.h"
 #include "core/container.h"
 #include "core/isobar.h"
+#include "core/read_plan.h"
 #include "linearize/transpose.h"
 #include "telemetry/trace_export.h"
 #include "util/bytes.h"
@@ -49,36 +50,6 @@ Status EncodeChunk(const Analyzer& analyzer, const Codec& codec,
 Status AnnotateChunkError(const Status& status, uint64_t chunk_index,
                           uint64_t byte_offset);
 
-/// Parses the chunk record at `*offset` in `container_bytes`, reverses the
-/// pipeline, and appends the reconstructed elements to `*out`, advancing
-/// `*offset` past the record. `max_elements` is the container header's
-/// nominal chunk size; a record claiming more elements is corrupt (the
-/// bound keeps untrusted counts from driving allocations). Per-stage
-/// timing fields of `*stats` are accumulated (may be null).
-///
-/// `chunk_index` is only used to annotate error messages with the failing
-/// record's position. On failure `*failed_stage` (when non-null) reports
-/// which decode stage rejected the record. Whether the record's extent was
-/// established is signalled by `*offset`: when it did not move the framing
-/// is destroyed and nothing past the record is reachable; when it advanced
-/// past the damaged record (element-count, payload, and checksum failures)
-/// the caller may salvage the chunks that follow. On header/element-count
-/// failures `*out`
-/// is untouched; on payload/checksum failures the appended bytes are
-/// truncated back off before returning. `*header_out` (when non-null) is
-/// filled with the parsed chunk header as soon as parsing succeeds, even
-/// when a later stage rejects the record — salvage callers use it to
-/// account for the damaged chunk's declared shape.
-Status DecodeChunk(ByteSpan container_bytes, size_t* offset,
-                   const Codec& codec, Linearization linearization,
-                   size_t width, uint64_t max_elements, bool verify_checksums,
-                   Bytes* out, DecompressionStats* stats = nullptr,
-                   uint64_t chunk_index = 0,
-                   ChunkFailureStage* failed_stage = nullptr,
-                   container::ChunkHeader* header_out = nullptr,
-                   ScratchArena* arena = nullptr,
-                   Linearization raw_linearization = Linearization::kRow);
-
 /// Folds a stats contribution covering `chunk.chunk_count` chunks into a
 /// pipeline total, in chunk order. mean_htc_fraction merges weighted by
 /// chunk count; for single-chunk contributions the arithmetic reduces to
@@ -87,29 +58,20 @@ Status DecodeChunk(ByteSpan container_bytes, size_t* offset,
 /// path's for every thread count.
 void MergeChunkStats(const CompressionStats& chunk, CompressionStats* total);
 
-/// The payload half of DecodeChunk: reverses one already-parsed chunk
-/// record into `dest`, which must be exactly
-/// `chunk_header.element_count * width` bytes. `compressed_section` and
-/// `raw_section` are the record's two payload slices (the caller advanced
-/// past them using the header's sizes). Decode/scatter timing fields of
-/// `*stats` are accumulated (may be null). Writes only through `dest`, so
-/// independent chunk records can be decoded concurrently into disjoint
-/// regions of one output buffer. On failure `dest` may hold partially
-/// scattered bytes (salvage callers re-zero it) and `*failed_stage` (when
-/// non-null) reports whether the payload or its checksum was rejected.
-/// When `arena` is non-null its kDecoded slot backs the solver's output
-/// buffer (cleared before use), amortizing the allocation across chunks.
-/// `chunk_ordinal` tags the chunk's timeline events only.
-Status DecodeChunkPayload(const container::ChunkHeader& chunk_header,
-                          ByteSpan compressed_section, ByteSpan raw_section,
-                          const Codec& codec, Linearization linearization,
-                          size_t width, bool verify_checksums,
+/// Reverses one intact record of `plan` into `dest`, which must be
+/// exactly `record.element_count * width` bytes: solver decode (backed by
+/// the thread's ScratchArena), scatter of both sections, and — when the
+/// plan's options ask for it — CRC-32C verification. Decode/scatter timing
+/// fields of `*stats` are accumulated (may be null). Writes only through
+/// `dest`, so independent records can be decoded concurrently into
+/// disjoint regions of one output buffer. On failure `dest` may hold
+/// partially scattered bytes (salvage callers re-zero it), the error names
+/// the record's position, and `*failed_stage` (when non-null) reports
+/// whether the payload or its checksum was rejected.
+Status DecodeChunkPayload(const ReadPlan& plan, const PlannedRecord& record,
                           MutableByteSpan dest,
                           DecompressionStats* stats = nullptr,
-                          ChunkFailureStage* failed_stage = nullptr,
-                          ScratchArena* arena = nullptr,
-                          uint64_t chunk_ordinal = 0,
-                          Linearization raw_linearization = Linearization::kRow);
+                          ChunkFailureStage* failed_stage = nullptr);
 
 }  // namespace isobar
 

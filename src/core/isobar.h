@@ -106,7 +106,7 @@ enum class ChunkFailureStage : uint8_t {
 struct ChunkSalvageRecord {
   uint64_t chunk_index = 0;   ///< Position of the record in the container.
   uint64_t byte_offset = 0;   ///< Container offset of the record's chunk header.
-  uint64_t element_count = 0; ///< Header-declared elements (best effort when the header itself is damaged).
+  uint64_t element_count = 0; ///< Elements the record covers, from its index entry or the full-chunk rule (never a damaged header's claim).
   uint64_t output_offset = 0; ///< First output byte the chunk covers (post-salvage layout).
   uint64_t lost_bytes = 0;    ///< Output bytes skipped or zero-filled for this chunk.
   ChunkFailureStage stage = ChunkFailureStage::kHeader;
@@ -156,6 +156,11 @@ struct DecompressOptions {
   /// Per-chunk error policy. Under kSkip/kZeroFill, Decompress returns OK
   /// with the damaged chunks elided or zeroed (see SalvageReport for what
   /// was lost); only container-header damage still fails the whole call.
+  /// A damaged chunk's extent comes from its index entry or, without a
+  /// footer, from the rule that every chunk but the last is full — never
+  /// from its own header — so damage neither resizes the output nor
+  /// shifts intact chunks, and every reader reaches the same verdict
+  /// (docs/FORMAT.md, "Reading: one plan, one verdict").
   ChunkErrorPolicy on_chunk_error = ChunkErrorPolicy::kFail;
 
   /// When non-null, filled with the per-chunk salvage outcome of the run

@@ -16,8 +16,7 @@ Status PartitionDataInto(ByteSpan data, size_t width,
   if (data.size() % width != 0) {
     return Status::InvalidArgument("data size is not a multiple of width");
   }
-  const uint64_t full_mask =
-      width == 64 ? ~0ull : ((1ull << width) - 1);
+  const uint64_t full_mask = FullMask(width);
   if ((compressible_mask & ~full_mask) != 0) {
     return Status::InvalidArgument("mask has bits beyond element width");
   }
@@ -63,8 +62,7 @@ Status MergePartition(const Partition& partition, Bytes* out) {
   if (width == 0 || width > 64) {
     return Status::InvalidArgument("partition has invalid width");
   }
-  const uint64_t full_mask =
-      width == 64 ? ~0ull : ((1ull << width) - 1);
+  const uint64_t full_mask = FullMask(width);
   out->assign(partition.element_count * width, 0);
   MutableByteSpan dest(*out);
   ISOBAR_RETURN_NOT_OK(ScatterColumns(partition.compressible, width,

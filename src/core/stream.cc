@@ -1,12 +1,12 @@
 #include "core/stream.h"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 
 #include "compressors/registry.h"
 #include "core/chunk_codec.h"
 #include "core/eupa_selector.h"
+#include "core/read_plan.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
 #include "telemetry/timeline.h"
@@ -14,13 +14,6 @@
 #include "util/stopwatch.h"
 
 namespace isobar {
-namespace {
-
-uint64_t FullMask(size_t width) {
-  return width >= 64 ? ~0ull : ((1ull << width) - 1);
-}
-
-}  // namespace
 
 IsobarStreamWriter::IsobarStreamWriter(CompressOptions options, size_t width,
                                        ByteSink* sink)
@@ -286,199 +279,59 @@ IsobarStreamReader::IsobarStreamReader(ByteSpan container_bytes,
     : container_(container_bytes), options_(options) {}
 
 Status IsobarStreamReader::Init() {
-  ISOBAR_ASSIGN_OR_RETURN(header_, container::ParseHeader(container_, &offset_));
-  ISOBAR_ASSIGN_OR_RETURN(codec_, GetCodec(header_.codec));
-  payload_end_ = container_.size();
-  if (header_.version >= container::kVersion) {
-    static telemetry::Counter& index_hits =
-        telemetry::GetCounter("pipeline.index_hits");
-    static telemetry::Counter& index_fallbacks =
-        telemetry::GetCounter("pipeline.index_fallbacks");
-    Result<container::ChunkIndex> parsed =
-        container::ParseFooter(container_, header_);
-    if (parsed.ok()) {
-      index_ = std::move(*parsed);
-      have_index_ = true;
-      payload_end_ = index_.payload_end;
-      // A streamed container's header holds sentinel totals; the validated
-      // footer supplies the real ones, so end-of-stream accounting (and
-      // SeekToChunk bounds) work as on a counted container.
-      header_.element_count = index_.element_count;
-      header_.chunk_count = index_.entries.size();
-      index_hits.Increment();
-    } else if (options_.on_chunk_error == ChunkErrorPolicy::kFail) {
-      return parsed.status();
-    } else {
-      // Damaged footer under a salvaging policy: fall back to the
-      // sequential record walk, which treats the footer bytes as whatever
-      // trailing damage they are.
-      index_fallbacks.Increment();
-    }
-  }
+  ISOBAR_ASSIGN_OR_RETURN(plan_, ReadPlan::Open(container_, options_));
   initialized_ = true;
   return Status::OK();
 }
 
-Result<bool> IsobarStreamReader::AtEnd() {
+Result<bool> IsobarStreamReader::Advance(Bytes* chunk) {
   if (!initialized_) {
     return Status::InvalidArgument("reader not initialized (call Init)");
   }
-  // A destroyed record framing ends the stream early under a salvaging
-  // policy; the loss is documented in report_.truncated_tail.
-  if (tail_lost_) return true;
-  const bool salvage =
-      options_.on_chunk_error != ChunkErrorPolicy::kFail;
-  const bool counted = header_.chunk_count != container::kUnknownCount;
-  const bool done = counted ? chunks_read_ == header_.chunk_count
-                            : offset_ == payload_end_;
-  if (!done) return false;
-  if (offset_ != payload_end_) {
-    if (!salvage) {
-      return Status::Corruption("container: trailing bytes after last chunk");
+  SalvageLedger ledger(options_.on_chunk_error, &report_);
+  const size_t width = plan_.header().width;
+  PlannedRecord record;
+  while (plan_.Locate(chunks_read_, &record)) {
+    const uint64_t bytes = record.element_count * width;
+    ChunkFailureStage stage = ChunkFailureStage::kHeader;
+    Status status = record.damage;
+    if (status.ok() && chunk != nullptr) {
+      chunk->resize(static_cast<size_t>(bytes));
+      status = DecodeChunkPayload(plan_, record, MutableByteSpan(*chunk),
+                                  nullptr, &stage);
     }
-    if (offset_ < payload_end_) {
-      report_.trailing_bytes = payload_end_ - offset_;
+    if (!status.ok()) {
+      ISOBAR_RETURN_NOT_OK(ledger.Damaged(record, stage, status,
+                                          elements_read_ * width, bytes));
+    } else if (chunk != nullptr) {
+      ledger.Recovered(bytes);
     }
-    return true;
+    ++chunks_read_;
+    elements_read_ += record.element_count;
+    if (status.ok() || chunk == nullptr) return true;
+    if (options_.on_chunk_error == ChunkErrorPolicy::kZeroFill) {
+      chunk->assign(static_cast<size_t>(bytes), 0);  // Stand-in chunk.
+      return true;
+    }
+    // kSkip: the damaged record is absorbed; poll the next one.
   }
-  // Skipped chunks contribute their (header-declared) element counts, so
-  // the total stays verifiable even for seek-style access patterns. When
-  // chunks were salvaged the totals expectedly disagree; the report
-  // already names what was lost.
-  if (header_.element_count != container::kUnknownCount &&
-      elements_read_ != header_.element_count &&
-      !(salvage && !report_.damaged.empty())) {
-    return Status::Corruption("container: element count mismatch");
+  // End of the records: book a lost tail or trailing bytes once, and keep
+  // answering with that verdict.
+  if (!at_end_) {
+    end_status_ = plan_.tail_lost()
+                      ? ledger.TailLost(plan_.tail(), elements_read_ * width, 0)
+                      : ledger.Trailing(plan_.trailing_bytes());
+    at_end_ = true;
   }
-  return true;
-}
-
-bool IsobarStreamReader::SalvageDamagedChunk(
-    const container::ChunkHeader& chunk_header, bool framed, uint64_t index,
-    size_t record_offset, ChunkFailureStage stage, const Status& error,
-    Bytes* chunk) {
-  static telemetry::Counter& salvaged =
-      telemetry::GetCounter("pipeline.chunks_salvaged");
-  static telemetry::Counter& zero_filled =
-      telemetry::GetCounter("pipeline.chunks_zero_filled");
-  const bool zero_fill =
-      framed && options_.on_chunk_error == ChunkErrorPolicy::kZeroFill;
-  // An element count above the container's nominal chunk size is itself
-  // corrupt; assume a full chunk, the shape of every record but the last.
-  const uint64_t assumed_elements =
-      !framed ? 0
-              : std::min<uint64_t>(chunk_header.element_count,
-                                   header_.chunk_elements);
-  ChunkSalvageRecord record;
-  record.chunk_index = index;
-  record.byte_offset = record_offset;
-  record.element_count = chunk_header.element_count;
-  record.output_offset = elements_read_ * header_.width;
-  record.lost_bytes = assumed_elements * header_.width;
-  record.stage = stage;
-  record.action = zero_fill ? ChunkErrorPolicy::kZeroFill
-                            : ChunkErrorPolicy::kSkip;
-  record.error = error;
-  report_.damaged.push_back(std::move(record));
-  report_.bytes_lost += assumed_elements * header_.width;
-  salvaged.Increment();
-  if (!framed) {
-    // The record no longer delimits itself: nothing after it is reachable.
-    report_.damaged.back().action = options_.on_chunk_error;
-    tail_lost_ = true;
-    report_.truncated_tail = true;
-    return false;
-  }
-  ++report_.chunks_total;
-  ++chunks_read_;
-  elements_read_ += assumed_elements;
-  if (zero_fill) {
-    ++report_.chunks_zero_filled;
-    zero_filled.Increment();
-    chunk->assign(static_cast<size_t>(assumed_elements * header_.width), 0);
-    return true;
-  }
-  ++report_.chunks_skipped;
+  ISOBAR_RETURN_NOT_OK(end_status_);
   return false;
 }
 
 Result<bool> IsobarStreamReader::NextChunk(Bytes* chunk) {
-  const bool salvage = options_.on_chunk_error != ChunkErrorPolicy::kFail;
-  for (;;) {
-    ISOBAR_ASSIGN_OR_RETURN(const bool done, AtEnd());
-    if (done) return false;
-    chunk->clear();
-    const uint64_t index = chunks_read_;
-    const size_t record_offset = offset_;
-    ChunkFailureStage stage = ChunkFailureStage::kHeader;
-    container::ChunkHeader chunk_header;
-    const Status status = DecodeChunk(
-        container_, &offset_, *codec_, header_.linearization, header_.width,
-        header_.chunk_elements, options_.verify_checksums, chunk, nullptr,
-        index, &stage, &chunk_header, &ScratchArena::ThreadLocal(),
-        container::RawSectionLinearization(header_.version));
-    if (status.ok()) {
-      ++chunks_read_;
-      ++report_.chunks_total;
-      ++report_.chunks_recovered;
-      report_.bytes_recovered += chunk->size();
-      elements_read_ += chunk->size() / header_.width;
-      return true;
-    }
-    if (!salvage) return status;
-    // `framed`: DecodeChunk advanced past the record, so the stream can
-    // continue at the next one.
-    const bool framed = offset_ != record_offset;
-    if (SalvageDamagedChunk(chunk_header, framed, index, record_offset,
-                            stage, status, chunk)) {
-      return true;  // zero-filled stand-in chunk
-    }
-    // Skipped (or tail lost): poll the next record / end-of-stream.
-  }
+  return Advance(chunk);
 }
 
-Result<bool> IsobarStreamReader::SkipChunk() {
-  const bool salvage = options_.on_chunk_error != ChunkErrorPolicy::kFail;
-  ISOBAR_ASSIGN_OR_RETURN(const bool done, AtEnd());
-  if (done) return false;
-  const uint64_t index = chunks_read_;
-  const size_t record_offset = offset_;
-  auto parsed = container::ParseChunkHeader(container_, &offset_);
-  if (!parsed.ok()) {
-    const Status annotated =
-        AnnotateChunkError(parsed.status(), index, record_offset);
-    if (!salvage) return annotated;
-    Bytes unused;
-    SalvageDamagedChunk(container::ChunkHeader{}, /*framed=*/false, index,
-                        record_offset, ChunkFailureStage::kHeader, annotated,
-                        &unused);
-    return false;
-  }
-  const container::ChunkHeader chunk_header = *parsed;
-  offset_ += chunk_header.compressed_size + chunk_header.raw_size;
-  // Validate before the declared count enters the running element total:
-  // a corrupt skipped record must not make the end-of-stream accounting
-  // pass (or fail) arbitrarily. The second clause guards the running total
-  // itself against uint64 wrap-around — the same checked-arithmetic rule
-  // the batch decoder applies to element_count * width.
-  if (chunk_header.element_count > header_.chunk_elements ||
-      chunk_header.element_count >
-          std::numeric_limits<uint64_t>::max() - elements_read_) {
-    const Status annotated = AnnotateChunkError(
-        Status::Corruption("container: chunk claims more elements than the "
-                           "header's chunk size"),
-        index, record_offset);
-    if (!salvage) return annotated;
-    Bytes unused;
-    SalvageDamagedChunk(chunk_header, /*framed=*/true, index, record_offset,
-                        ChunkFailureStage::kHeader, annotated, &unused);
-    return true;
-  }
-  ++chunks_read_;
-  ++report_.chunks_total;
-  elements_read_ += chunk_header.element_count;
-  return true;
-}
+Result<bool> IsobarStreamReader::SkipChunk() { return Advance(nullptr); }
 
 Status IsobarStreamReader::SeekToChunk(uint64_t n) {
   if (!initialized_) {
@@ -488,35 +341,27 @@ Status IsobarStreamReader::SeekToChunk(uint64_t n) {
       telemetry::GetCounter("pipeline.index_seeks");
   static telemetry::Counter& sequential_seeks =
       telemetry::GetCounter("pipeline.sequential_seeks");
-  if (have_index_) {
-    if (n > index_.entries.size()) {
-      return Status::InvalidArgument("seek beyond the container's chunk count");
-    }
-    if (n == index_.entries.size()) {
-      offset_ = payload_end_;
-      elements_read_ = index_.element_count;
-    } else {
-      offset_ = static_cast<size_t>(index_.entries[n].record_offset);
-      elements_read_ = index_.entries[n].element_offset;
-    }
+  if (plan_.counted() && n > plan_.header().chunk_count) {
+    return Status::InvalidArgument("seek beyond the container's chunk count");
+  }
+  if (plan_.indexed()) {
+    // O(1): the index entry alone positions the reader.
+    PlannedRecord record;
+    elements_read_ = plan_.Locate(n, &record) ? record.element_offset
+                                              : plan_.header().element_count;
     chunks_read_ = n;
-    tail_lost_ = false;
     index_seeks.Increment();
     return Status::OK();
-  }
-  if (header_.chunk_count != container::kUnknownCount &&
-      n > header_.chunk_count) {
-    return Status::InvalidArgument("seek beyond the container's chunk count");
   }
   if (n < chunks_read_) {
     // Rewind to the first record. The salvage report restarts with the
     // rewound position so records re-examined on the way forward are not
     // double-counted.
-    offset_ = container::kHeaderSize;
     chunks_read_ = 0;
     elements_read_ = 0;
-    tail_lost_ = false;
     report_ = SalvageReport{};
+    at_end_ = false;
+    end_status_ = Status::OK();
   }
   while (chunks_read_ < n) {
     ISOBAR_ASSIGN_OR_RETURN(const bool advanced, SkipChunk());

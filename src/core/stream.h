@@ -8,6 +8,7 @@
 #include "compressors/codec.h"
 #include "core/container.h"
 #include "core/isobar.h"
+#include "core/read_plan.h"
 #include "io/sink.h"
 #include "telemetry/trace_export.h"
 #include "util/bytes.h"
@@ -128,12 +129,12 @@ class IsobarStreamReader {
   explicit IsobarStreamReader(ByteSpan container_bytes,
                               DecompressOptions options = {});
 
-  /// Parses and validates the container header. Must be called (and
-  /// succeed) before NextChunk().
+  /// Parses and validates the container header and (v2) its index
+  /// footer. Must be called (and succeed) before NextChunk().
   Status Init();
 
   /// Header fields; valid after Init().
-  const container::Header& header() const { return header_; }
+  const container::Header& header() const { return plan_.header(); }
 
   /// Appends the next chunk's reconstructed elements to `*chunk`
   /// (replacing its contents). Returns false when the container is
@@ -144,9 +145,10 @@ class IsobarStreamReader {
   /// parsed, its payload skipped). Returns false when the container is
   /// exhausted. Chunk records are self-delimiting, so seeking to the
   /// n-th checkpoint of a long campaign costs O(n) header reads, not
-  /// O(n) decompressions. The header's element count is validated against
-  /// the container's nominal chunk size before it enters the running
-  /// element total, so a corrupt skipped record cannot poison the
+  /// O(n) decompressions. The header is checked against its index entry
+  /// (or, without a footer, the rule that every chunk but the last is
+  /// full), and the running element total advances by the record's
+  /// trusted extent, so a corrupt skipped record cannot poison the
   /// end-of-stream accounting.
   Result<bool> SkipChunk();
 
@@ -165,7 +167,7 @@ class IsobarStreamReader {
 
   /// True when Init() found (and validated) a v2 chunk-index footer:
   /// SeekToChunk is O(1) and header() carries the footer's adopted totals.
-  bool has_chunk_index() const { return have_index_; }
+  bool has_chunk_index() const { return plan_.indexed(); }
 
   /// Chunks consumed so far (decoded, skipped, or salvaged).
   uint64_t chunks_read() const { return chunks_read_; }
@@ -173,40 +175,28 @@ class IsobarStreamReader {
   /// Elements consumed (or accounted, for skipped/seeked records) so far.
   uint64_t elements_read() const { return elements_read_; }
 
-  /// Per-chunk salvage outcome accumulated so far. Only meaningful (i.e.
-  /// possibly non-clean) when DecompressOptions::on_chunk_error is kSkip
-  /// or kZeroFill; under those policies NextChunk absorbs a damaged
-  /// record — advancing past it (kSkip) or returning its zero-filled
-  /// shape (kZeroFill) — and a record whose framing is destroyed ends the
-  /// stream with truncated_tail set instead of an error.
+  /// Per-chunk salvage outcome accumulated so far. Under kSkip or
+  /// kZeroFill NextChunk absorbs a damaged record — advancing past it
+  /// (kSkip) or returning its zero-filled shape (kZeroFill) — and a
+  /// record whose framing is destroyed ends the stream with
+  /// truncated_tail set instead of an error. Under kFail the report names
+  /// the record whose error the reader returned.
   const SalvageReport& salvage_report() const { return report_; }
 
  private:
-  /// True when the container is exhausted; validates totals at the end.
-  Result<bool> AtEnd();
-  /// Handles one damaged record under a salvaging policy. Returns true
-  /// when `*chunk` was zero-filled for the caller, false when the record
-  /// was skipped (or the tail lost) and the caller should re-poll.
-  bool SalvageDamagedChunk(const container::ChunkHeader& chunk_header,
-                           bool framed, uint64_t index, size_t record_offset,
-                           ChunkFailureStage stage, const Status& error,
-                           Bytes* chunk);
+  /// Consumes the next record: decoded into `*chunk`, or only validated
+  /// when `chunk` is null. False once the container is exhausted.
+  Result<bool> Advance(Bytes* chunk);
 
   ByteSpan container_;
   DecompressOptions options_;
-  container::Header header_;
-  const Codec* codec_ = nullptr;
+  ReadPlan plan_;
   bool initialized_ = false;
-  size_t offset_ = 0;
-  /// Offset where chunk records end: the index footer's start on a v2
-  /// container, the container's end otherwise.
-  size_t payload_end_ = 0;
-  bool have_index_ = false;
-  container::ChunkIndex index_;
   uint64_t chunks_read_ = 0;
   uint64_t elements_read_ = 0;
   SalvageReport report_;
-  bool tail_lost_ = false;
+  bool at_end_ = false;
+  Status end_status_;  ///< Verdict on the container's end, once reached.
 };
 
 }  // namespace isobar

@@ -26,6 +26,11 @@ std::string_view LinearizationToString(Linearization lin);
 /// Number of selected columns in a mask restricted to `width` columns.
 int PopcountMask(uint64_t column_mask, size_t width);
 
+/// The mask selecting all `width` columns of an element (width in [1, 64]).
+inline uint64_t FullMask(size_t width) {
+  return width >= 64 ? ~0ull : ((1ull << width) - 1);
+}
+
 /// Gathers the bytes of the columns selected by `column_mask` (bit j =
 /// column j) from `data` (elements of `width` bytes) into `*out`, laid out
 /// according to `lin`. The output holds N * popcount(mask) bytes.

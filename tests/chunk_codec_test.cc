@@ -2,6 +2,7 @@
 
 #include "compressors/registry.h"
 #include "core/chunk_codec.h"
+#include "core/read_plan.h"
 #include "util/random.h"
 
 namespace isobar {
@@ -22,6 +23,39 @@ Bytes MixedChunk(size_t n, uint64_t seed) {
 
 const Codec& Zlib() { return **GetCodec(CodecId::kZlib); }
 
+// Frames encoded `records` as a v1 container whose header declares
+// `codec`, `lin` and the given geometry (kUnknownCount totals make it a
+// streamed-style container).
+Bytes Frame(const Bytes& records, CodecId codec, Linearization lin,
+            uint64_t chunk_elements, uint64_t element_count,
+            uint64_t chunk_count) {
+  container::Header header;
+  header.version = container::kVersionV1;
+  header.width = 4;
+  header.codec = codec;
+  header.linearization = lin;
+  header.chunk_elements = chunk_elements;
+  header.element_count = element_count;
+  header.chunk_count = chunk_count;
+  Bytes out;
+  container::AppendHeader(header, &out);
+  out.insert(out.end(), records.begin(), records.end());
+  return out;
+}
+
+// Locates record `i` of `container` through a read plan and decodes it.
+Status DecodeRecord(const Bytes& container, uint64_t i, Bytes* out) {
+  ISOBAR_ASSIGN_OR_RETURN(ReadPlan plan,
+                          ReadPlan::Open(container, DecompressOptions{}));
+  PlannedRecord record;
+  if (!plan.Locate(i, &record)) return Status::NotFound("no such record");
+  ISOBAR_RETURN_NOT_OK(record.damage);
+  const size_t base = out->size();
+  out->resize(base + record.element_count * plan.header().width);
+  return DecodeChunkPayload(
+      plan, record, MutableByteSpan(out->data() + base, out->size() - base));
+}
+
 TEST(ChunkCodecTest, EncodeDecodeRoundTrip) {
   const Bytes chunk = MixedChunk(50000, 1);
   const Analyzer analyzer;
@@ -35,12 +69,18 @@ TEST(ChunkCodecTest, EncodeDecodeRoundTrip) {
   EXPECT_NEAR(stats.mean_htc_fraction, 0.5, 1e-9);
   EXPECT_LT(record.size(), chunk.size());  // 2 of 4 columns compress away
 
-  size_t offset = 0;
+  const Bytes container = Frame(record, CodecId::kZlib, Linearization::kRow,
+                                50000, 50000, 1);
+  auto plan = ReadPlan::Open(container, DecompressOptions{});
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  PlannedRecord located;
+  ASSERT_TRUE(plan->Locate(0, &located));
+  EXPECT_TRUE(located.damage.ok());
+  // The record's two sections run exactly to the end of the container.
+  EXPECT_EQ(located.raw.data() + located.raw.size(),
+            container.data() + container.size());
   Bytes out;
-  ASSERT_TRUE(DecodeChunk(record, &offset, Zlib(), Linearization::kRow, 4,
-                          /*max_elements=*/50000, /*verify=*/true, &out)
-                  .ok());
-  EXPECT_EQ(offset, record.size());
+  ASSERT_TRUE(DecodeRecord(container, 0, &out).ok());
   EXPECT_EQ(out, chunk);
 }
 
@@ -84,15 +124,11 @@ TEST(ChunkCodecTest, SequentialRecordsDecodeInOrder) {
                           4, &records, nullptr)
                   .ok());
 
-  size_t offset = 0;
+  const Bytes container = Frame(records, CodecId::kZlib,
+                                Linearization::kColumn, 10000, 17000, 2);
   Bytes out;
-  ASSERT_TRUE(DecodeChunk(records, &offset, Zlib(), Linearization::kColumn,
-                          4, 10000, true, &out)
-                  .ok());
-  ASSERT_TRUE(DecodeChunk(records, &offset, Zlib(), Linearization::kColumn,
-                          4, 10000, true, &out)
-                  .ok());
-  EXPECT_EQ(offset, records.size());
+  ASSERT_TRUE(DecodeRecord(container, 0, &out).ok());
+  ASSERT_TRUE(DecodeRecord(container, 1, &out).ok());
   Bytes expected = chunk_a;
   expected.insert(expected.end(), chunk_b.begin(), chunk_b.end());
   EXPECT_EQ(out, expected);
@@ -105,11 +141,13 @@ TEST(ChunkCodecTest, ElementCountAboveBoundRejected) {
   ASSERT_TRUE(EncodeChunk(analyzer, Zlib(), Linearization::kRow, chunk, 4,
                           &record, nullptr)
                   .ok());
-  size_t offset = 0;
+  // A chunk size of 9999 bounds even the last record of a container
+  // without totals.
+  const Bytes container =
+      Frame(record, CodecId::kZlib, Linearization::kRow, 9999,
+            container::kUnknownCount, container::kUnknownCount);
   Bytes out;
-  auto status = DecodeChunk(record, &offset, Zlib(), Linearization::kRow, 4,
-                            /*max_elements=*/9999, true, &out);
-  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_EQ(DecodeRecord(container, 0, &out).code(), StatusCode::kCorruption);
 }
 
 TEST(ChunkCodecTest, WrongLinearizationFailsChecksum) {
@@ -121,11 +159,10 @@ TEST(ChunkCodecTest, WrongLinearizationFailsChecksum) {
   ASSERT_TRUE(EncodeChunk(analyzer, Zlib(), Linearization::kColumn, chunk, 4,
                           &record, nullptr)
                   .ok());
-  size_t offset = 0;
+  const Bytes container = Frame(record, CodecId::kZlib, Linearization::kRow,
+                                20000, 20000, 1);
   Bytes out;
-  auto status = DecodeChunk(record, &offset, Zlib(), Linearization::kRow, 4,
-                            20000, true, &out);
-  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_EQ(DecodeRecord(container, 0, &out).code(), StatusCode::kCorruption);
 }
 
 TEST(ChunkCodecTest, MergeChunkStatsWeightsByChunkCount) {
@@ -165,13 +202,10 @@ TEST(ChunkCodecTest, WrongCodecFailsCleanly) {
   ASSERT_TRUE(EncodeChunk(analyzer, Zlib(), Linearization::kRow, chunk, 4,
                           &record, nullptr)
                   .ok());
-  size_t offset = 0;
+  const Bytes container = Frame(record, CodecId::kBzip2, Linearization::kRow,
+                                20000, 20000, 1);
   Bytes out;
-  const Codec& bzip2 = **GetCodec(CodecId::kBzip2);
-  auto status =
-      DecodeChunk(record, &offset, bzip2, Linearization::kRow, 4, 20000,
-                  true, &out);
-  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_EQ(DecodeRecord(container, 0, &out).code(), StatusCode::kCorruption);
 }
 
 }  // namespace
