@@ -133,11 +133,13 @@ void BM_SolverCompress(benchmark::State& state) {
   state.SetLabel(std::string(CodecIdToString((*codec)->id())));
 }
 BENCHMARK(BM_SolverCompress)
+    ->Arg(static_cast<int>(CodecId::kStored))
     ->Arg(static_cast<int>(CodecId::kZlib))
     ->Arg(static_cast<int>(CodecId::kBzip2))
     ->Arg(static_cast<int>(CodecId::kRle))
     ->Arg(static_cast<int>(CodecId::kLzss))
     ->Arg(static_cast<int>(CodecId::kHuffman))
+    ->Arg(static_cast<int>(CodecId::kBwt))
     ->Arg(static_cast<int>(CodecId::kLzans));
 
 void BM_SolverDecompress(benchmark::State& state) {
@@ -155,9 +157,13 @@ void BM_SolverDecompress(benchmark::State& state) {
   state.SetLabel(std::string(CodecIdToString((*codec)->id())));
 }
 BENCHMARK(BM_SolverDecompress)
+    ->Arg(static_cast<int>(CodecId::kStored))
     ->Arg(static_cast<int>(CodecId::kZlib))
     ->Arg(static_cast<int>(CodecId::kBzip2))
+    ->Arg(static_cast<int>(CodecId::kRle))
+    ->Arg(static_cast<int>(CodecId::kLzss))
     ->Arg(static_cast<int>(CodecId::kHuffman))
+    ->Arg(static_cast<int>(CodecId::kBwt))
     ->Arg(static_cast<int>(CodecId::kLzans));
 
 // Compressible solver input: the structured, repetitive byte-planes the

@@ -201,8 +201,10 @@ int Usage(const char* argv0) {
       "per hardware thread, the default; 1 = serial). Output is identical\n"
       "for every thread count. --verbose prints the EUPA decision table\n"
       "(every candidate's predicted and measured performance, and which\n"
-      "trials the estimator gate pruned), the thread-pool scheduling\n"
-      "summary, and the top-3 slowest chunks.\n"
+      "trials never ran: pruned by the estimator gate, or, under speed\n"
+      "preference, below a faster-ranked codec that met the ratio floor;\n"
+      "MB/s is reported, never decided on), the EUPA phase time, the\n"
+      "thread-pool scheduling summary, and the top-3 slowest chunks.\n"
       "--trace-timeline writes the cross-thread event timeline as Chrome\n"
       "trace-event JSON (chrome://tracing / Perfetto / isobar_stat).\n"
       "--salvage recovers what it can from a damaged container: bad\n"
@@ -220,11 +222,14 @@ int Usage(const char* argv0) {
 
 /// --verbose: the EUPA decision table — every (solver, linearization)
 /// candidate with its estimator prediction, measured sample performance,
-/// and what the selector did with it. "pruned" rows were skipped by the
-/// estimator gate and never ran a trial compression.
-void PrintDecisionTable(const EupaDecision& decision) {
-  std::fprintf(stderr, "EUPA decision table (%s preference):\n",
-               std::string(PreferenceToString(decision.preference)).c_str());
+/// and what the selector did with it. "pruned" rows never ran a trial
+/// compression: the estimator gate skipped them, or (speed preference) a
+/// faster-ranked codec already met the ratio floor. The MB/s column is
+/// evidence only; the decision reads ratios alone.
+void PrintDecisionTable(const EupaDecision& decision, double eupa_seconds) {
+  std::fprintf(stderr, "EUPA decision table (%s preference, %.2f ms):\n",
+               std::string(PreferenceToString(decision.preference)).c_str(),
+               eupa_seconds * 1e3);
   std::fprintf(stderr, "  %-8s %-7s %10s %9s %9s  %s\n", "solver", "lin",
                "predicted", "ratio", "MB/s", "outcome");
   char predicted[32], ratio[32], mbps[32];
@@ -391,7 +396,7 @@ int Compress(int argc, char** argv) {
                stats.improvable ? "improvable" : "undetermined",
                stats.mean_htc_fraction * 100.0);
   if (verbose) {
-    PrintDecisionTable(stats.decision);
+    PrintDecisionTable(stats.decision, stats.eupa_seconds);
     PrintPoolStats();
     PrintSlowestChunks();
   }

@@ -14,8 +14,8 @@
 //   --mix=F             compress fraction in [0,1] (default 0.7)
 //   --elements=N        elements per payload (default 4096)
 //   --width=N           element width in bytes (default 8)
-//   --codec=NAME        forced solver (any registered codec name, or auto;
-//                       default zlib — auto disables --verify)
+//   --codec=NAME        forced solver (any registered codec name, or auto
+//                       to let EUPA choose; default zlib)
 //   --no-verify         skip byte-identity checks against the library
 //   --seed=N            workload seed (default 42)
 //   --timeout=SECS      per-receive timeout (default 30)
@@ -108,7 +108,6 @@ int main(int argc, char** argv) {
       if (name == "auto") {
         options.codec.reset();
         options.linearization.reset();
-        options.verify = false;
       } else {
         auto codec = isobar::GetCodecByName(name);
         if (!codec.ok()) {

@@ -56,7 +56,9 @@ int main() {
               std::string(
                   LinearizationToString(stats.decision.linearization))
                   .c_str());
-  std::printf("time split: analysis %.1f%%  partition %.1f%%  solver %.1f%%\n",
+  std::printf("time split: eupa %.1f%%  analysis %.1f%%  partition %.1f%%  "
+              "solver %.1f%%\n",
+              100.0 * stats.eupa_seconds / stats.total_seconds,
               100.0 * stats.analysis_seconds / stats.total_seconds,
               100.0 * stats.partition_seconds / stats.total_seconds,
               100.0 * stats.codec_seconds / stats.total_seconds);

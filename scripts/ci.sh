@@ -209,9 +209,13 @@ bench() {
 # dropped replies; the Python check then asserts the reject/accept split
 # is sane (some work served, some shed — a saturated bounded queue must do
 # both) and that the STATS snapshot agrees with the client-side counts.
-# The loadgen report and STATS snapshot land in build-ci-server/ (paths
-# overridable via ISOBAR_SERVER_REPORT / ISOBAR_SERVER_STATS) and are kept
-# as CI artifacts.
+# A second, 3 s pass against a fresh daemon lets EUPA choose every
+# compress pipeline (--codec=auto) and byte-compares each reply with the
+# loadgen's own library call: the selection is deterministic across
+# processes. The loadgen reports and STATS snapshot land in
+# build-ci-server/ (the first pass's paths overridable via
+# ISOBAR_SERVER_REPORT / ISOBAR_SERVER_STATS; the auto pass writes
+# server_auto_loadgen.json) and are kept as CI artifacts.
 server() {
   local name=server
   local dir="build-ci-${name}"
@@ -229,22 +233,10 @@ server() {
     -R 'ProtocolTest|JobQueueTest|ServerTest' \
     ${CTEST_ARGS[@]+"${CTEST_ARGS[@]}"}
   echo "=== [${name}] saturation smoke (${seconds}s) ==="
-  rm -f "${sock}"
-  "${dir}/examples/isobard" --unix="${sock}" --threads=2 --queue-depth=8 &
-  local daemon_pid=$!
-  trap 'kill "${daemon_pid}" 2>/dev/null || true; rm -f "${sock}"' RETURN
-  for _ in $(seq 1 50); do
-    [ -S "${sock}" ] && break
-    sleep 0.1
-  done
-  [ -S "${sock}" ] || { echo "isobard never bound ${sock}" >&2; return 1; }
   # Exit code 1 on any protocol error / verify failure / dropped reply.
-  "${dir}/examples/isobar_loadgen" --unix="${sock}" \
+  serve_and_load "${dir}" "${sock}" \
     --connections=4 --duration="${seconds}" \
-    --json="${report}" --stats-out="${stats}" --shutdown
-  wait "${daemon_pid}"
-  trap - RETURN
-  rm -f "${sock}"
+    --json="${report}" --stats-out="${stats}"
   echo "=== [${name}] check report ==="
   python3 - "${report}" "${stats}" <<'EOF'
 import json, sys
@@ -281,7 +273,44 @@ print("serving smoke OK: %d ok, %d busy of %d requests (%.0f req/s)" % (
 EOF
   echo "=== [${name}] stats inspector ==="
   "${dir}/examples/isobar_stat" print "${stats}" | grep -q 'server\.requests'
+  echo "=== [${name}] auto-selection verify (3s) ==="
+  serve_and_load "${dir}" "${sock}" \
+    --connections=4 --duration=3 --codec=auto \
+    --json="${dir}/server_auto_loadgen.json"
+  python3 - "${dir}/server_auto_loadgen.json" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+assert report["verify_failures"] == 0, report
+assert report["unanswered"] == 0, report
+assert report["protocol_errors"] == 0, report
+# Something must actually have been compressed and checked.
+assert report["compress_ok"] > 0, report
+print("auto-selection verify OK: %d compress replies byte-identical" %
+      report["compress_ok"])
+EOF
   echo "=== [${name}] OK ==="
+}
+
+# Starts a fresh isobard (2 workers, queue depth 8) on socket $2 from build
+# directory $1, runs isobar_loadgen against it with the remaining
+# arguments plus --shutdown, and waits for the daemon to exit.
+serve_and_load() {
+  local dir="$1"
+  local sock="$2"
+  shift 2
+  rm -f "${sock}"
+  "${dir}/examples/isobard" --unix="${sock}" --threads=2 --queue-depth=8 &
+  local daemon_pid=$!
+  trap 'kill "${daemon_pid}" 2>/dev/null || true; rm -f "${sock}"' RETURN
+  for _ in $(seq 1 50); do
+    [ -S "${sock}" ] && break
+    sleep 0.1
+  done
+  [ -S "${sock}" ] || { echo "isobard never bound ${sock}" >&2; return 1; }
+  "${dir}/examples/isobar_loadgen" --unix="${sock}" "$@" --shutdown
+  wait "${daemon_pid}"
+  trap - RETURN
+  rm -f "${sock}"
 }
 
 # Fuzz smoke: build the decompress fuzzer (ASan-instrumented), generate

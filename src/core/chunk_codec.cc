@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "core/eupa_selector.h"
 #include "core/partitioner.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
@@ -10,6 +11,53 @@
 #include "util/stopwatch.h"
 
 namespace isobar {
+
+Result<uint64_t> RunEupaPhase(const CompressOptions& options,
+                              ByteSpan training, ByteSpan probe, size_t width,
+                              CompressionStats* stats) {
+  EupaOptions eupa = options.eupa;
+  if (!eupa.forced_codec) eupa.forced_codec = ForcedCodecFromEnv();
+  EupaDecision decision;
+  decision.preference = eupa.preference;
+  if (eupa.forced_codec && eupa.forced_linearization) {
+    decision.codec = *eupa.forced_codec;
+    decision.linearization = *eupa.forced_linearization;
+  } else if (!training.empty()) {
+    // The analyzer verdict on the probe decides which bytes the candidates
+    // are trialed on.
+    Stopwatch eupa_timer;
+    ISOBAR_ASSIGN_OR_RETURN(AnalysisResult verdict,
+                            Analyzer(options.analyzer).Analyze(probe, width));
+    const uint64_t mask =
+        verdict.improvable() ? verdict.compressible_mask : FullMask(width);
+    ISOBAR_ASSIGN_OR_RETURN(decision,
+                            EupaSelector(eupa).Select(training, width, mask));
+    stats->eupa_seconds += eupa_timer.ElapsedSeconds();
+  } else {
+    if (eupa.forced_codec) decision.codec = *eupa.forced_codec;
+    if (eupa.forced_linearization) {
+      decision.linearization = *eupa.forced_linearization;
+    }
+  }
+  stats->decision = decision;
+
+  auto& recorder = telemetry::TraceRecorder::Global();
+  if (!recorder.enabled()) return uint64_t{0};
+  const uint64_t id = recorder.BeginPipeline(
+      std::string(CodecIdToString(decision.codec)),
+      std::string(LinearizationToString(decision.linearization)),
+      std::string(PreferenceToString(decision.preference)), width);
+  for (const CandidateEvaluation& eval : decision.evaluations) {
+    telemetry::CandidateTrace candidate;
+    candidate.codec = std::string(CodecIdToString(eval.codec));
+    candidate.linearization =
+        std::string(LinearizationToString(eval.linearization));
+    candidate.ratio = eval.ratio;
+    candidate.throughput_mbps = eval.throughput_mbps;
+    recorder.RecordCandidate(id, std::move(candidate));
+  }
+  return id;
+}
 
 Status EncodeChunk(const Analyzer& analyzer, const Codec& codec,
                    Linearization linearization, ByteSpan chunk, size_t width,

@@ -17,6 +17,18 @@ namespace isobar {
 /// Shared per-chunk pipeline of Alg. 1, used by both the batch
 /// IsobarCompressor and the streaming writer/reader.
 
+/// The EUPA phase both writers run once per pipeline (§II.C). Applies the
+/// ISOBAR_FORCE_CODEC hook (explicit caller overrides win); unless codec
+/// and linearization are both forced, analyzes `probe` (a prefix of
+/// `training`) for the compressible mask and runs EupaSelector::Select on
+/// `training`. Empty training data falls back to the forced or default
+/// pipeline. Sets stats->decision, adds the probe + Select wall time to
+/// stats->eupa_seconds, and opens the pipeline trace with the candidate
+/// evidence; returns its id (0 when tracing is off).
+Result<uint64_t> RunEupaPhase(const CompressOptions& options,
+                              ByteSpan training, ByteSpan probe, size_t width,
+                              CompressionStats* stats);
+
 /// Analyzes, partitions, and solver-compresses one chunk, appending its
 /// container record ([chunk header][solver bytes][raw noise bytes]) to
 /// `*out`. Timing and verdict fields of `*stats` are accumulated (may be

@@ -25,21 +25,27 @@ std::string_view PreferenceToString(Preference preference);
 struct EupaOptions {
   Preference preference = Preference::kSpeed;
 
-  /// With kSpeed, candidates whose sample compression ratio falls below
-  /// this floor are discarded (unless none survive, in which case the
-  /// best-ratio candidate wins). 1.0 = accept anything that does not
-  /// expand the data.
+  /// With kSpeed, the selector walks the candidate codecs down a fixed
+  /// speed rank (fastest encode + decode first) and stops at the first
+  /// codec whose best sample ratio, over the linearizations, reaches this
+  /// floor; that layout wins and slower codecs are never trialed. When no
+  /// codec reaches it, the best ratio trialed wins. 1.0 = accept anything
+  /// that does not expand the data.
   double min_ratio = 1.0;
 
   /// Estimator gate (§II.C high-throughput selection): before any trial
   /// compression runs, each candidate gets a cheap predicted ratio from
   /// sample statistics (order-0 entropy bound, run density, match-probe
   /// rate). A candidate is pruned — its trial never runs — when even its
-  /// predicted ratio inflated by this margin cannot beat the incumbent
-  /// under the active preference rule. 0 disables the gate and restores
-  /// the exhaustive trial matrix. The default margin is generous enough
-  /// that selection matches exhaustive search on every tier-1 input; see
-  /// docs/PERFORMANCE.md for the calibration notes.
+  /// predicted ratio inflated by this margin cannot beat the best ratio
+  /// measured so far. Under kRatio that applies across every candidate;
+  /// under kSpeed, as the speed walk proceeds (it may skip a linearization
+  /// of the codec being trialed, or a slower candidate that could not beat
+  /// a ratio measured below the floor). 0 disables the gate; the trials then
+  /// run in canonical order, and kRatio trials the whole matrix. The
+  /// default margin is generous enough that kRatio selection matches
+  /// exhaustive search on every tier-1 input; see docs/PERFORMANCE.md for
+  /// the calibration notes.
   double prune_margin = 0.25;
 
   /// Elements in the training sample drawn from the input. The sample is
@@ -51,9 +57,10 @@ struct EupaOptions {
   uint64_t sample_runs = 8;
   uint64_t seed = 0x15D0BA5ull;
 
-  /// Solvers the selector measures. The paper's pair plus the homegrown
+  /// Solvers the selector may trial. The paper's pair plus the homegrown
   /// LZ77+tANS codec, whose decode speed dominates the auto-speed front
-  /// and whose 128 KiB window competes with zlib on ratio.
+  /// and whose 128 KiB window competes with zlib on ratio. kSpeed walks
+  /// them in speed-rank order (lzans, zlib, bzip2), not list order.
   std::vector<CodecId> candidate_codecs = {CodecId::kZlib, CodecId::kBzip2,
                                            CodecId::kLzans};
 
@@ -78,12 +85,15 @@ struct CandidateEvaluation {
   CodecId codec = CodecId::kZlib;
   Linearization linearization = Linearization::kRow;
   double ratio = 0.0;             ///< sample bytes / compressed bytes
-  double throughput_mbps = 0.0;   ///< sample compression throughput
+  /// Wall-clock throughput of the trial compression. Reported evidence
+  /// only: no decision reads it, so selection is independent of load.
+  double throughput_mbps = 0.0;
   /// Estimator-predicted ratio from sample statistics; populated whenever
   /// the estimator gate is active (prune_margin > 0), 0 otherwise.
   double predicted_ratio = 0.0;
-  /// True when the gate skipped this candidate's trial compression; the
-  /// measured fields (ratio, throughput_mbps) are then 0.
+  /// True when the candidate's trial compression never ran: the gate
+  /// skipped it, or (kSpeed) a faster-ranked codec already reached
+  /// min_ratio. The measured fields (ratio, throughput_mbps) are then 0.
   bool pruned = false;
 };
 
@@ -106,8 +116,10 @@ Bytes DrawTrainingSample(ByteSpan data, size_t width,
                          const EupaOptions& options);
 
 /// Deterministic selector choosing the (solver × linearization) pipeline
-/// that best serves the end user's preference, by measuring each candidate
-/// on a training sample of the compressible partition.
+/// that best serves the end user's preference, by trial-compressing
+/// candidates on a training sample of the compressible partition. The
+/// decision reads only sample ratios, which are a function of the input
+/// bytes and the options, so it does not vary with load or thread count.
 class EupaSelector {
  public:
   explicit EupaSelector(EupaOptions options = {});

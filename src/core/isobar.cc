@@ -31,27 +31,6 @@ struct EncodedChunk {
   telemetry::ChunkTrace trace;
 };
 
-// Opens a pipeline trace for a freshly made EUPA decision and records the
-// candidate evidence; returns 0 when tracing is off.
-uint64_t BeginPipelineTrace(const EupaDecision& decision, size_t width) {
-  auto& recorder = telemetry::TraceRecorder::Global();
-  if (!recorder.enabled()) return 0;
-  const uint64_t id = recorder.BeginPipeline(
-      std::string(CodecIdToString(decision.codec)),
-      std::string(LinearizationToString(decision.linearization)),
-      std::string(PreferenceToString(decision.preference)), width);
-  for (const CandidateEvaluation& eval : decision.evaluations) {
-    telemetry::CandidateTrace candidate;
-    candidate.codec = std::string(CodecIdToString(eval.codec));
-    candidate.linearization =
-        std::string(LinearizationToString(eval.linearization));
-    candidate.ratio = eval.ratio;
-    candidate.throughput_mbps = eval.throughput_mbps;
-    recorder.RecordCandidate(id, std::move(candidate));
-  }
-  return id;
-}
-
 }  // namespace
 
 Status ValidateCompressInput(uint64_t data_bytes, size_t width) {
@@ -100,44 +79,17 @@ Result<Bytes> IsobarCompressor::Compress(ByteSpan data, size_t width,
   Stopwatch total_timer;
 
   const Analyzer analyzer(options_.analyzer);
-  // The ISOBAR_FORCE_CODEC CI hook pins auto-selected pipelines to one
-  // solver; explicit caller overrides always win.
-  EupaOptions eupa = options_.eupa;
-  if (!eupa.forced_codec) eupa.forced_codec = ForcedCodecFromEnv();
-  const EupaSelector selector(eupa);
-  const uint64_t full_mask = FullMask(width);
-
   // --- EUPA phase: pick the (solver × linearization) pipeline once per
-  // dataset from a training sample (§II.C). The analyzer verdict for the
-  // sampling region determines which bytes the candidates are measured on.
-  EupaDecision decision;
-  decision.preference = eupa.preference;
-  if (eupa.forced_codec && eupa.forced_linearization) {
-    decision.codec = *eupa.forced_codec;
-    decision.linearization = *eupa.forced_linearization;
-  } else if (!data.empty()) {
-    Stopwatch analysis_timer;
-    const uint64_t n = data.size() / width;
-    const uint64_t probe_elements =
-        std::min<uint64_t>(n, std::max<uint64_t>(eupa.sample_elements, 1));
-    ByteSpan probe = data.subspan(0, probe_elements * width);
-    ISOBAR_ASSIGN_OR_RETURN(AnalysisResult probe_result,
-                            analyzer.Analyze(probe, width));
-    stats->analysis_seconds += analysis_timer.ElapsedSeconds();
-    const uint64_t eupa_mask = probe_result.improvable()
-                                   ? probe_result.compressible_mask
-                                   : full_mask;
-    ISOBAR_ASSIGN_OR_RETURN(decision,
-                            selector.Select(data, width, eupa_mask));
-  } else {
-    // Empty input: nothing to measure; fall back to configured defaults.
-    if (eupa.forced_codec) decision.codec = *eupa.forced_codec;
-    if (eupa.forced_linearization) {
-      decision.linearization = *eupa.forced_linearization;
-    }
-  }
-  stats->decision = decision;
-  const uint64_t trace_id = BeginPipelineTrace(decision, width);
+  // dataset from a training sample (§II.C), probing the analyzer verdict
+  // on the first sample_elements elements.
+  const uint64_t probe_elements = std::min<uint64_t>(
+      data.size() / width,
+      std::max<uint64_t>(options_.eupa.sample_elements, 1));
+  ISOBAR_ASSIGN_OR_RETURN(
+      const uint64_t trace_id,
+      RunEupaPhase(options_, data, data.subspan(0, probe_elements * width),
+                   width, stats));
+  const EupaDecision decision = stats->decision;
 
   ISOBAR_ASSIGN_OR_RETURN(const Codec* codec, GetCodec(decision.codec));
 

@@ -56,11 +56,13 @@ struct CompressionStats {
   /// ("HTC Bytes (%)" of Table IV, as a fraction).
   double mean_htc_fraction = 0.0;
 
-  /// Wall-clock decomposition of the pipeline (seconds). Stage fields are
-  /// summed over chunks; with num_threads > 1 chunks run concurrently, so
-  /// the stage sum is aggregate worker time and may exceed total_seconds
-  /// (wall clock) by up to the thread count.
-  double analysis_seconds = 0.0;   ///< ISOBAR-analyzer + EUPA sampling.
+  /// Wall-clock decomposition of the pipeline (seconds). eupa_seconds is
+  /// paid once, serially, before any chunk work; the other stage fields
+  /// are summed over chunks. With num_threads > 1 chunks run concurrently,
+  /// so the stage sum is aggregate worker time and may exceed
+  /// total_seconds (wall clock) by up to the thread count.
+  double eupa_seconds = 0.0;       ///< EUPA phase: probe analysis + Select.
+  double analysis_seconds = 0.0;   ///< Per-chunk ISOBAR-analyzer.
   double partition_seconds = 0.0;  ///< Gather/linearize.
   double codec_seconds = 0.0;      ///< Solver time.
   double total_seconds = 0.0;

@@ -5,7 +5,6 @@
 
 #include "compressors/registry.h"
 #include "core/chunk_codec.h"
-#include "core/eupa_selector.h"
 #include "core/read_plan.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
@@ -37,49 +36,12 @@ IsobarStreamWriter::IsobarStreamWriter(CompressOptions options, size_t width,
 Status IsobarStreamWriter::EnsurePipeline(ByteSpan training_data) {
   if (header_written_) return Status::OK();
 
-  // Same ISOBAR_FORCE_CODEC CI hook as the batch compressor; explicit
-  // caller overrides always win.
-  EupaOptions eupa = options_.eupa;
-  if (!eupa.forced_codec) eupa.forced_codec = ForcedCodecFromEnv();
-  decision_.preference = eupa.preference;
-  if (eupa.forced_codec && eupa.forced_linearization) {
-    decision_.codec = *eupa.forced_codec;
-    decision_.linearization = *eupa.forced_linearization;
-  } else if (!training_data.empty()) {
-    // Mirror the batch compressor's EUPA phase on the training window.
-    const Analyzer analyzer(options_.analyzer);
-    Stopwatch analysis_timer;
-    ISOBAR_ASSIGN_OR_RETURN(AnalysisResult probe,
-                            analyzer.Analyze(training_data, width_));
-    stats_.analysis_seconds += analysis_timer.ElapsedSeconds();
-    const uint64_t mask = probe.improvable() ? probe.compressible_mask
-                                             : FullMask(width_);
-    const EupaSelector selector(eupa);
-    ISOBAR_ASSIGN_OR_RETURN(decision_,
-                            selector.Select(training_data, width_, mask));
-  } else {
-    if (eupa.forced_codec) decision_.codec = *eupa.forced_codec;
-    if (eupa.forced_linearization) {
-      decision_.linearization = *eupa.forced_linearization;
-    }
-  }
-  stats_.decision = decision_;
-  auto& recorder = telemetry::TraceRecorder::Global();
-  if (recorder.enabled()) {
-    trace_id_ = recorder.BeginPipeline(
-        std::string(CodecIdToString(decision_.codec)),
-        std::string(LinearizationToString(decision_.linearization)),
-        std::string(PreferenceToString(decision_.preference)), width_);
-    for (const CandidateEvaluation& eval : decision_.evaluations) {
-      telemetry::CandidateTrace candidate;
-      candidate.codec = std::string(CodecIdToString(eval.codec));
-      candidate.linearization =
-          std::string(LinearizationToString(eval.linearization));
-      candidate.ratio = eval.ratio;
-      candidate.throughput_mbps = eval.throughput_mbps;
-      recorder.RecordCandidate(trace_id_, std::move(candidate));
-    }
-  }
+  // The batch compressor's EUPA phase, with the whole training window as
+  // the analyzer probe.
+  ISOBAR_ASSIGN_OR_RETURN(
+      trace_id_,
+      RunEupaPhase(options_, training_data, training_data, width_, &stats_));
+  decision_ = stats_.decision;
   ISOBAR_ASSIGN_OR_RETURN(codec_, GetCodec(decision_.codec));
 
   container::Header header;

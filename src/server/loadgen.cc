@@ -54,7 +54,7 @@ Bytes MakePayload(const LoadgenOptions& options, size_t worker,
   return data;
 }
 
-CompressOptions ForcedCompressOptions(const LoadgenOptions& options) {
+CompressOptions ReferenceCompressOptions(const LoadgenOptions& options) {
   CompressOptions copts;
   copts.num_threads = 1;
   copts.eupa.preference = options.preference;
@@ -295,15 +295,10 @@ Result<LoadgenReport> RunLoadgen(const LoadgenOptions& options) {
   if (options.width == 0 || options.width > 64) {
     return Status::InvalidArgument("width must be in [1, 64]");
   }
-  if (options.verify && (!options.codec || !options.linearization)) {
-    return Status::InvalidArgument(
-        "verify needs a forced codec and linearization (EUPA's measured "
-        "selection is not bit-reproducible across processes)");
-  }
 
   // Reference data: the containers double as decompress inputs and as
   // the byte-identity oracle for compress responses.
-  const CompressOptions copts = ForcedCompressOptions(options);
+  const CompressOptions copts = ReferenceCompressOptions(options);
   std::vector<WorkerShared> shared(options.connections);
   for (size_t w = 0; w < options.connections; ++w) {
     for (size_t v = 0; v < options.payload_variants; ++v) {

@@ -46,8 +46,8 @@ struct LoadgenOptions {
   size_t payload_variants = 4;
   uint64_t seed = 42;
 
-  /// Solver selection carried in the compress aux. Forcing both codec
-  /// and linearization (the default) makes server output bit-identical
+  /// Solver selection carried in the compress aux; nullopt lets EUPA
+  /// choose per request. Either way the server's output is bit-identical
   /// to a local library call, which `verify` checks per response.
   std::optional<CodecId> codec = CodecId::kZlib;
   std::optional<Linearization> linearization = Linearization::kColumn;

@@ -84,9 +84,10 @@ struct Frame {
 ///   bits 8..15   forced codec id, 0xFF = let EUPA choose
 ///   bits 16..23  forced linearization, 0xFF = let EUPA choose
 ///   bits 24..31  preference (0 = ratio, 1 = speed)
-/// Forcing both codec and linearization makes the server's output
-/// bit-reproducible (EUPA's throughput measurements never run), which is
-/// what the loadgen's --verify mode and the conformance tests rely on.
+/// The server's output is bit-reproducible either way — EUPA decides on
+/// sample ratios, never on timings — which is what the loadgen's --verify
+/// mode and the conformance tests rely on. Forcing both codec and
+/// linearization skips the selector's trial compressions.
 struct CompressAux {
   size_t width = 8;
   std::optional<CodecId> codec;

@@ -38,21 +38,23 @@ ByteSpan StringPayload(const std::string& s) {
 
 }  // namespace
 
-/// Per-connection state. The IO thread owns fd/parser; `outbound` is the
-/// only cross-thread surface (worker completion callbacks append encoded
-/// response frames under `out_mutex`, the IO thread drains them).
+/// Per-connection state. The IO thread owns the parser and is the only
+/// code that closes `fd`. The write side is shared: whichever thread has a
+/// reply (the IO thread, or the worker that finished the job) sends or
+/// queues it under `out_mutex`, and the fd is closed under the same mutex,
+/// so no sender ever writes to a closed or reused descriptor.
 struct IsobarServer::Connection {
   Connection(int fd_in, uint64_t id_in, uint64_t max_payload)
       : fd(fd_in), id(id_in), parser(kRequestMagic, max_payload) {}
 
-  int fd = -1;
+  const int fd = -1;
   uint64_t id = 0;
   FrameParser parser;
 
   std::mutex out_mutex;
-  std::deque<Bytes> outbound;
-  size_t front_offset = 0;  ///< Bytes of outbound.front() already sent.
-  std::atomic<bool> closed{false};
+  std::deque<Bytes> outbound;  ///< Frames waiting for the IO thread.
+  size_t front_offset = 0;     ///< Bytes of outbound.front() already sent.
+  bool closed = false;         ///< fd closed; replies are discarded.
 
   bool HasOutput() {
     std::lock_guard<std::mutex> lock(out_mutex);
@@ -192,6 +194,10 @@ void IsobarServer::RunEventLoop() {
   while (true) {
     if (stop_requested_.load(std::memory_order_acquire)) break;
 
+    // Read before the HasOutput scan below: a job callback queues its
+    // bytes under out_mutex before it decrements the count, so a zero read
+    // here means every queued answer is visible to that scan.
+    const uint64_t inflight = inflight_responses_.load();
     bool all_flushed = true;
     fds.clear();
     fd_conn_ids.clear();
@@ -220,8 +226,7 @@ void IsobarServer::RunEventLoop() {
     // Graceful drain: a shutdown request was honored, every admitted job
     // has answered, and every answer reached its socket (or its
     // connection died) — nothing is owed to anyone.
-    if (draining_ && all_flushed &&
-        inflight_responses_.load(std::memory_order_acquire) == 0) {
+    if (draining_.load() && all_flushed && inflight == 0) {
       break;
     }
 
@@ -276,7 +281,8 @@ void IsobarServer::RunEventLoop() {
   // owned here. Pending outbound data is dropped (hard stop) or already
   // flushed (graceful drain).
   for (auto& [id, conn] : connections_) {
-    conn->closed.store(true, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(conn->out_mutex);
+    conn->closed = true;
     close(conn->fd);
   }
   connections_.clear();
@@ -317,8 +323,11 @@ void IsobarServer::AcceptConnections() {
 void IsobarServer::DropConnection(uint64_t conn_id, bool protocol_error) {
   auto it = connections_.find(conn_id);
   if (it == connections_.end()) return;
-  it->second->closed.store(true, std::memory_order_release);
-  close(it->second->fd);
+  {
+    std::lock_guard<std::mutex> lock(it->second->out_mutex);
+    it->second->closed = true;
+    close(it->second->fd);
+  }
   connections_.erase(it);
   connections_active_.fetch_sub(1, std::memory_order_relaxed);
   if (protocol_error) {
@@ -377,15 +386,37 @@ bool IsobarServer::FlushConnection(const std::shared_ptr<Connection>& conn) {
   return true;
 }
 
-void IsobarServer::EnqueueResponse(const std::shared_ptr<Connection>& conn,
+bool IsobarServer::EnqueueResponse(const std::shared_ptr<Connection>& conn,
                                    Bytes frame) {
   bytes_out_.fetch_add(frame.size(), std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(conn->out_mutex);
-    if (conn->closed.load(std::memory_order_acquire)) return;
+  std::lock_guard<std::mutex> lock(conn->out_mutex);
+  if (conn->closed) return false;
+  if (!conn->outbound.empty()) {
+    // Queue behind the frames already waiting, so frames stay whole.
     conn->outbound.push_back(std::move(frame));
+    return true;
   }
-  Wake();
+  // Nothing queued ahead: send from this thread instead of waking the IO
+  // thread to do it.
+  size_t sent = 0;
+  while (sent < frame.size()) {
+    const ssize_t n = send(conn->fd, frame.data() + sent, frame.size() - sent,
+                           MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<size_t>(n);
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      break;
+    }
+  }
+  if (sent == frame.size()) return false;
+  // The socket is full (EAGAIN) or failed: queue the unsent remainder. The
+  // IO thread flushes it once the socket drains, or drops the connection
+  // when its own send fails — it stays the only code that drops one.
+  conn->outbound.push_back(std::move(frame));
+  conn->front_offset = sent;
+  return true;
 }
 
 void IsobarServer::HandleFrame(const std::shared_ptr<Connection>& conn,
@@ -438,7 +469,7 @@ void IsobarServer::HandleFrame(const std::shared_ptr<Connection>& conn,
       requests_shutdown_.fetch_add(1, std::memory_order_relaxed);
       EnqueueResponse(conn,
                       EncodeResponse(ResponseStatus::kOk, rid, 0, {}));
-      draining_ = true;
+      draining_.store(true);
       CloseListener();
       return;
 
@@ -479,7 +510,7 @@ void IsobarServer::HandleFrame(const std::shared_ptr<Connection>& conn,
   }
   request.input = std::move(frame.payload);
 
-  if (draining_) {
+  if (draining_.load()) {
     EnqueueResponse(
         conn, EncodeResponse(ResponseStatus::kBusy, rid,
                              static_cast<uint64_t>(Admission::kShuttingDown),
@@ -487,7 +518,7 @@ void IsobarServer::HandleFrame(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-  inflight_responses_.fetch_add(1, std::memory_order_acq_rel);
+  inflight_responses_.fetch_add(1);
   std::weak_ptr<Connection> weak = conn;
   const Admission admission = queue_->Submit(
       conn->id, std::move(request),
@@ -509,14 +540,18 @@ void IsobarServer::HandleFrame(const std::shared_ptr<Connection>& conn,
               static_cast<uint64_t>(result.status.code()),
               StringPayload(result.status.message()));
         }
+        bool queued = false;
         if (std::shared_ptr<Connection> live = weak.lock()) {
-          EnqueueResponse(live, std::move(response));
+          queued = EnqueueResponse(live, std::move(response));
         }
-        inflight_responses_.fetch_sub(1, std::memory_order_acq_rel);
-        Wake();
+        // Sequentially consistent with the IO thread's draining_ store and
+        // inflight_responses_ load: either this callback sees the drain and
+        // wakes the loop, or the loop sees the count reach zero itself.
+        inflight_responses_.fetch_sub(1);
+        if (queued || draining_.load()) Wake();
       });
   if (admission != Admission::kAdmitted) {
-    inflight_responses_.fetch_sub(1, std::memory_order_acq_rel);
+    inflight_responses_.fetch_sub(1);
     EnqueueResponse(conn,
                     EncodeResponse(ResponseStatus::kBusy, rid,
                                    static_cast<uint64_t>(admission), {}));

@@ -46,9 +46,12 @@ struct ServerOptions {
 /// isobard's engine: accepts pipelined compress/decompress jobs over a
 /// Unix or TCP socket, admits them into the bounded JobQueue, and answers
 /// out of order by request id as workers finish. One thread runs the
-/// poll() event loop (accept, frame reassembly, response writes); job
-/// execution happens on the queue's work-stealing pool, and completion
-/// callbacks hand encoded responses back to the loop through a wake pipe.
+/// poll() event loop (accept, frame reassembly, flushing queued replies,
+/// dropping connections); job execution happens on the queue's
+/// work-stealing pool. The worker that finished a job sends its reply
+/// itself when nothing is queued ahead of it on that connection, and
+/// wakes the loop through the wake pipe only when it left bytes queued
+/// (a full socket) or a graceful drain is waiting on it.
 ///
 /// Load shedding: when admission fails, the request is answered
 /// immediately with a BUSY frame carrying the Admission verdict — the
@@ -104,7 +107,11 @@ class IsobarServer {
   void DropConnection(uint64_t conn_id, bool protocol_error);
   void HandleFrame(const std::shared_ptr<Connection>& conn,
                    Frame frame);
-  void EnqueueResponse(const std::shared_ptr<Connection>& conn, Bytes frame);
+  /// Sends `frame` now when nothing is queued ahead of it, otherwise (or
+  /// for whatever a full socket did not take) queues it for the IO
+  /// thread. Callable from any thread. Returns true when bytes were
+  /// queued, i.e. the IO thread has flushing to do.
+  bool EnqueueResponse(const std::shared_ptr<Connection>& conn, Bytes frame);
   void Wake();
   void CloseListener();
 
@@ -121,7 +128,9 @@ class IsobarServer {
   /// Event-loop state (IO thread only once started).
   std::map<uint64_t, std::shared_ptr<Connection>> connections_;
   uint64_t next_connection_id_ = 1;
-  bool draining_ = false;
+  /// A shutdown request was honored. Written by the IO thread, read by
+  /// completion callbacks deciding whether the loop needs a wake.
+  std::atomic<bool> draining_{false};
   /// Listener parked until this instant after accept() hit resource
   /// exhaustion (IO thread only).
   std::chrono::steady_clock::time_point accept_backoff_until_{};

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "core/analyzer.h"
 #include "core/eupa_selector.h"
 #include "datagen/registry.h"
@@ -35,15 +38,25 @@ TEST(EupaTest, DeterministicAcrossRuns) {
 }
 
 TEST(EupaTest, EvaluatesAllCandidateCombinations) {
+  // kRatio: every (codec × linearization) candidate is accounted for,
+  // either measured by a trial or pruned by the estimator gate.
   const Bytes data = NoisyStructured(100000, 2);
-  const EupaSelector selector;
+  EupaOptions options;
+  options.preference = Preference::kRatio;
+  const EupaSelector selector(options);
   auto decision = selector.Select(data, 8, 0xC0);
   ASSERT_TRUE(decision.ok());
   // 3 default codecs × 2 linearizations.
   EXPECT_EQ(decision->evaluations.size(), 6u);
   for (const auto& eval : decision->evaluations) {
-    EXPECT_GT(eval.ratio, 0.0);
-    EXPECT_GT(eval.throughput_mbps, 0.0);
+    EXPECT_GT(eval.predicted_ratio, 0.0);
+    if (eval.pruned) {
+      EXPECT_DOUBLE_EQ(eval.ratio, 0.0);
+      EXPECT_DOUBLE_EQ(eval.throughput_mbps, 0.0);
+    } else {
+      EXPECT_GT(eval.ratio, 0.0);
+      EXPECT_GT(eval.throughput_mbps, 0.0);
+    }
   }
 }
 
@@ -194,10 +207,25 @@ EupaDecision SelectOrDie(const Bytes& data, size_t width, uint64_t mask,
   return *decision;
 }
 
-// The gate must never flip a ratio-preference selection: compression
-// ratios are bit-deterministic, so gated and exhaustive runs must land on
-// the same (codec, linearization) on any input — including adversarial
-// ones aimed at each individual signal.
+// What the gate is checked under: kRatio over every solver, and kSpeed
+// over every solver and over the default set, where its decision is lzans
+// row against lzans column.
+struct GateCase {
+  Preference pref;
+  std::vector<CodecId> codecs;
+};
+std::vector<GateCase> GateCases() {
+  return {{Preference::kRatio, AllSolvers()},
+          {Preference::kSpeed, AllSolvers()},
+          {Preference::kSpeed, EupaOptions{}.candidate_codecs}};
+}
+
+// The gate must never flip a selection: compression ratios are
+// bit-deterministic, so gated and exhaustive runs must land on the same
+// (codec, linearization) on any input — including adversarial ones aimed
+// at each individual signal — under either preference. Under kSpeed the
+// gate acts inside a speed tier, where pruning the one layout that meets
+// the floor would send the walk on to a slower codec.
 TEST(EupaTest, GateMatchesExhaustiveOnAdversarialInputs) {
   std::vector<std::pair<Bytes, size_t>> inputs;
   // All noise: every predictor near 1, nothing clearly wins.
@@ -219,24 +247,33 @@ TEST(EupaTest, GateMatchesExhaustiveOnAdversarialInputs) {
 
   for (const auto& [data, width] : inputs) {
     const uint64_t mask = width == 2 ? 0b11 : 0xFF;
-    const EupaDecision exhaustive =
-        SelectOrDie(data, width, mask, Preference::kRatio, 0.0, AllSolvers());
-    const EupaDecision gated =
-        SelectOrDie(data, width, mask, Preference::kRatio, 0.25, AllSolvers());
-    EXPECT_EQ(gated.codec, exhaustive.codec);
-    EXPECT_EQ(gated.linearization, exhaustive.linearization);
-    // Exhaustive mode leaves the estimator fields untouched.
-    for (const auto& eval : exhaustive.evaluations) {
-      EXPECT_FALSE(eval.pruned);
-      EXPECT_DOUBLE_EQ(eval.predicted_ratio, 0.0);
-    }
-    // Gated mode predicts every candidate and measures the survivors
-    // identically to the exhaustive run.
-    for (size_t i = 0; i < gated.evaluations.size(); ++i) {
-      EXPECT_GT(gated.evaluations[i].predicted_ratio, 0.0);
-      if (!gated.evaluations[i].pruned) {
-        EXPECT_DOUBLE_EQ(gated.evaluations[i].ratio,
-                         exhaustive.evaluations[i].ratio);
+    for (const auto& [pref, codecs] : GateCases()) {
+      SCOPED_TRACE(testing::Message()
+                   << PreferenceToString(pref) << ", " << codecs.size()
+                   << " codecs, width " << width);
+      const EupaDecision exhaustive =
+          SelectOrDie(data, width, mask, pref, 0.0, codecs);
+      const EupaDecision gated =
+          SelectOrDie(data, width, mask, pref, 0.25, codecs);
+      EXPECT_EQ(gated.codec, exhaustive.codec);
+      EXPECT_EQ(gated.linearization, exhaustive.linearization);
+      // Exhaustive mode leaves the estimator fields untouched; only
+      // kSpeed's walk prunes (the tiers after the one that met the floor).
+      for (const auto& eval : exhaustive.evaluations) {
+        if (pref == Preference::kRatio) {
+          EXPECT_FALSE(eval.pruned);
+        }
+        EXPECT_DOUBLE_EQ(eval.predicted_ratio, 0.0);
+      }
+      // Gated mode predicts every candidate and measures the survivors
+      // identically to the exhaustive run.
+      for (size_t i = 0; i < gated.evaluations.size(); ++i) {
+        EXPECT_GT(gated.evaluations[i].predicted_ratio, 0.0);
+        if (!gated.evaluations[i].pruned) {
+          EXPECT_FALSE(exhaustive.evaluations[i].pruned);
+          EXPECT_DOUBLE_EQ(gated.evaluations[i].ratio,
+                           exhaustive.evaluations[i].ratio);
+        }
       }
     }
   }
@@ -247,14 +284,17 @@ TEST(EupaTest, GateMatchesExhaustiveAcrossDatasetProfiles) {
     auto dataset = GenerateDataset(spec, 40000);
     ASSERT_TRUE(dataset.ok()) << spec.name;
     const uint64_t mask = (uint64_t{1} << dataset->width()) - 1;
-    const EupaDecision exhaustive =
-        SelectOrDie(dataset->data, dataset->width(), mask, Preference::kRatio,
-                    0.0, AllSolvers());
-    const EupaDecision gated =
-        SelectOrDie(dataset->data, dataset->width(), mask, Preference::kRatio,
-                    0.25, AllSolvers());
-    EXPECT_EQ(gated.codec, exhaustive.codec) << spec.name;
-    EXPECT_EQ(gated.linearization, exhaustive.linearization) << spec.name;
+    for (const auto& [pref, codecs] : GateCases()) {
+      SCOPED_TRACE(testing::Message()
+                   << spec.name << ", " << PreferenceToString(pref) << ", "
+                   << codecs.size() << " codecs");
+      const EupaDecision exhaustive = SelectOrDie(
+          dataset->data, dataset->width(), mask, pref, 0.0, codecs);
+      const EupaDecision gated = SelectOrDie(
+          dataset->data, dataset->width(), mask, pref, 0.25, codecs);
+      EXPECT_EQ(gated.codec, exhaustive.codec);
+      EXPECT_EQ(gated.linearization, exhaustive.linearization);
+    }
   }
 }
 
@@ -289,17 +329,112 @@ TEST(EupaTest, GatePrunesTrialsOnMixedWorkload) {
   EXPECT_EQ(gated.linearization, exhaustive.linearization);
 }
 
-TEST(EupaTest, SpeedPreferenceDefaultFloorNeverPrunes) {
-  // At the default min_ratio of 1.0 every estimator lower bound clears the
-  // floor, so a speed-preference gate must keep the full trial matrix: the
-  // band rule depends on measured throughputs the estimator cannot rank.
+TEST(EupaTest, SpeedPreferenceTrialsOnlyTopRankedCodecAtDefaultFloor) {
+  // At the default min_ratio of 1.0 the fastest-ranked candidate codec
+  // reaches the floor on structured data, so the speed walk stops there:
+  // exactly its linearizations are measured and every slower candidate is
+  // pruned untrialed — whatever order the candidate list gives.
   const Bytes data = NoisyStructured(100000, 11);
-  const EupaDecision gated =
-      SelectOrDie(data, 8, 0xC0, Preference::kSpeed, 0.25, AllSolvers());
-  for (const auto& eval : gated.evaluations) {
-    EXPECT_FALSE(eval.pruned);
-    EXPECT_GT(eval.ratio, 0.0);
+  const struct {
+    std::vector<CodecId> codecs;
+    CodecId top;
+  } cases[] = {
+      {{CodecId::kZlib, CodecId::kBzip2, CodecId::kLzans}, CodecId::kLzans},
+      {AllSolvers(), CodecId::kHuffman},
+  };
+  for (const auto& c : cases) {
+    const EupaDecision decision =
+        SelectOrDie(data, 8, 0xC0, Preference::kSpeed, 0.25, c.codecs);
+    EXPECT_EQ(decision.codec, c.top);
+    EXPECT_EQ(decision.evaluations.size(), 2 * c.codecs.size());
+    for (const auto& eval : decision.evaluations) {
+      if (eval.codec == c.top) {
+        EXPECT_FALSE(eval.pruned) << CodecIdToString(eval.codec);
+        EXPECT_GE(eval.ratio, 1.0);
+      } else {
+        EXPECT_TRUE(eval.pruned) << CodecIdToString(eval.codec);
+        EXPECT_DOUBLE_EQ(eval.ratio, 0.0);
+      }
+    }
   }
+}
+
+TEST(EupaTest, SpeedWalkMovesDownTheRankBelowTheFloor) {
+  // Ratios are bit-deterministic, so an exhaustive kRatio run tells us
+  // where to put a floor that RLE (ranked faster) misses and zlib meets.
+  const Bytes data = NoisyStructured(100000, 12);
+  const std::vector<CodecId> codecs = {CodecId::kZlib, CodecId::kRle};
+  const EupaDecision exhaustive =
+      SelectOrDie(data, 8, 0xC0, Preference::kRatio, 0.0, codecs);
+  double best_rle = 0.0;
+  double best_zlib = 0.0;
+  for (const auto& eval : exhaustive.evaluations) {
+    double& best = eval.codec == CodecId::kRle ? best_rle : best_zlib;
+    best = std::max(best, eval.ratio);
+  }
+  ASSERT_GT(best_zlib, best_rle);
+
+  EupaOptions options;
+  options.candidate_codecs = codecs;
+  options.min_ratio = (best_rle + best_zlib) / 2.0;
+  auto decision = EupaSelector(options).Select(data, 8, 0xC0);
+  ASSERT_TRUE(decision.ok());
+  EXPECT_EQ(decision->codec, CodecId::kZlib);
+  size_t rle_trials = 0;
+  for (const auto& eval : decision->evaluations) {
+    if (eval.codec == CodecId::kRle) rle_trials += eval.pruned ? 0 : 1;
+    if (eval.codec == decision->codec &&
+        eval.linearization == decision->linearization) {
+      EXPECT_DOUBLE_EQ(eval.ratio, best_zlib);
+    }
+  }
+  // The faster tier was trialed (and missed) before the walk moved on.
+  EXPECT_GT(rle_trials, 0u);
+}
+
+TEST(EupaTest, SpeedSelectionIgnoresMachineLoad) {
+  // kSpeed decides on sample ratios alone: repeated selections on the same
+  // bytes agree on the pipeline and on every measured ratio, with or
+  // without a core kept busy underneath the trial timers.
+  auto spec = FindDatasetSpec("gts_phi_l");
+  ASSERT_TRUE(spec.ok());
+  auto dataset = GenerateDataset(**spec, 65536);
+  ASSERT_TRUE(dataset.ok());
+  auto probe = Analyzer().Analyze(dataset->data, dataset->width());
+  ASSERT_TRUE(probe.ok());
+  const uint64_t mask = probe->improvable()
+                            ? probe->compressible_mask
+                            : (uint64_t{1} << dataset->width()) - 1;
+  const EupaSelector selector;
+  auto reference = selector.Select(dataset->data, dataset->width(), mask);
+  ASSERT_TRUE(reference.ok());
+
+  const auto expect_same = [&](const char* phase) {
+    for (int run = 0; run < 20; ++run) {
+      auto decision = selector.Select(dataset->data, dataset->width(), mask);
+      ASSERT_TRUE(decision.ok());
+      EXPECT_EQ(decision->codec, reference->codec) << phase << " run " << run;
+      EXPECT_EQ(decision->linearization, reference->linearization)
+          << phase << " run " << run;
+      ASSERT_EQ(decision->evaluations.size(), reference->evaluations.size());
+      for (size_t i = 0; i < decision->evaluations.size(); ++i) {
+        EXPECT_EQ(decision->evaluations[i].pruned,
+                  reference->evaluations[i].pruned);
+        EXPECT_DOUBLE_EQ(decision->evaluations[i].ratio,
+                         reference->evaluations[i].ratio)
+            << phase << " run " << run << " candidate " << i;
+      }
+    }
+  };
+  expect_same("idle");
+  std::atomic<bool> stop{false};
+  std::thread hog([&stop] {
+    volatile uint64_t spin = 0;
+    while (!stop.load(std::memory_order_relaxed)) spin = spin + 1;
+  });
+  expect_same("hog");
+  stop.store(true);
+  hog.join();
 }
 
 TEST(EupaTest, ChoosesColumnWhenItClearlyWins) {

@@ -128,13 +128,10 @@ TEST(IntegrationTest, ConsistencyAcrossSimulationTimeSteps) {
 
   CompressOptions options;
   options.eupa.sample_elements = 16384;
-  // The default kSpeed preference picks within a wall-clock throughput
-  // band, so a load spike during one step can flip the decision and fail
-  // the cross-step stability check this test is about. kRatio is
-  // bit-deterministic — but zlib and bzip2 are ratio-near-tied on this
-  // dataset family, so per-seed noise would still flip the winner. Keep
-  // candidates whose ratio ordering is decisively separated: the claim
-  // under test is stability across time steps, not tie-breaking.
+  // kRatio with candidates whose ratio ordering is decisively separated:
+  // zlib and bzip2 are ratio-near-tied on this dataset family, so per-seed
+  // noise would flip the winner between them. The claim under test is
+  // stability across time steps, not tie-breaking.
   options.eupa.preference = Preference::kRatio;
   options.eupa.candidate_codecs = {CodecId::kZlib, CodecId::kRle,
                                    CodecId::kHuffman};

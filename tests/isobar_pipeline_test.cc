@@ -155,9 +155,21 @@ TEST_F(PipelineTelemetryTest, StageSecondsSumWithinTotal) {
   ASSERT_TRUE(compressed.ok());
 
   // The staged decomposition never exceeds the end-to-end wall clock.
-  EXPECT_LE(stats.analysis_seconds + stats.partition_seconds +
-                stats.codec_seconds,
+  EXPECT_LE(stats.eupa_seconds + stats.analysis_seconds +
+                stats.partition_seconds + stats.codec_seconds,
             stats.total_seconds);
+  // The EUPA phase is timed whenever it selects something...
+  EXPECT_GT(stats.eupa_seconds, 0.0);
+  // ...and costs nothing when codec and linearization are both forced.
+  CompressOptions forced = options;
+  forced.eupa.forced_codec = CodecId::kZlib;
+  forced.eupa.forced_linearization = Linearization::kColumn;
+  CompressionStats forced_stats;
+  ASSERT_TRUE(IsobarCompressor(forced)
+                  .Compress(dataset->bytes(), 8, &forced_stats)
+                  .ok());
+  EXPECT_EQ(forced_stats.eupa_seconds, 0.0);
+  EXPECT_TRUE(forced_stats.decision.evaluations.empty());
 
   DecompressOptions doptions;
   doptions.num_threads = 1;

@@ -12,8 +12,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/isobar.h"
@@ -120,30 +122,34 @@ TEST(ServerTest, PingEchoesPayload) {
   EXPECT_EQ(response->aux, 0xABCDu);
 }
 
-// The acceptance bar for the daemon: with the solver forced (EUPA's
-// throughput measurements never run), a served compress is byte-identical
-// to calling the library directly in this process.
+// The acceptance bar for the daemon: a served compress is byte-identical
+// to calling the library directly in this process — with the solver
+// forced, and with EUPA choosing (its decision depends only on the bytes
+// and options, not on which process or thread measured them).
 TEST(ServerTest, CompressMatchesDirectLibraryCall) {
   const ServerOptions options = BaseOptions("identity");
   IsobarServer server(options);
   ASSERT_TRUE(server.Start().ok());
 
   const Bytes data = SmoothDoubles(2048);
-  const CompressAux aux = ForcedAux();
-
+  CompressAux auto_aux;
+  auto_aux.width = 8;  // codec and linearization 0xFF: EUPA chooses
   Client client = MustConnect(options);
-  auto served = client.Compress(data, aux);
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  for (const CompressAux& aux : {ForcedAux(), auto_aux}) {
+    auto served = client.Compress(data, aux);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
 
-  CompressOptions direct_options;
-  direct_options.eupa.forced_codec = aux.codec;
-  direct_options.eupa.forced_linearization = aux.linearization;
-  direct_options.num_threads = 1;
-  IsobarCompressor compressor(direct_options);
-  auto direct = compressor.Compress(data, aux.width);
-  ASSERT_TRUE(direct.ok());
+    CompressOptions direct_options;
+    direct_options.eupa.preference = aux.preference;
+    direct_options.eupa.forced_codec = aux.codec;
+    direct_options.eupa.forced_linearization = aux.linearization;
+    direct_options.num_threads = 1;
+    IsobarCompressor compressor(direct_options);
+    auto direct = compressor.Compress(data, aux.width);
+    ASSERT_TRUE(direct.ok());
 
-  EXPECT_EQ(*served, *direct);
+    EXPECT_EQ(*served, *direct) << (aux.codec ? "forced" : "auto");
+  }
 }
 
 TEST(ServerTest, DecompressRoundTripsThroughServer) {
@@ -182,6 +188,63 @@ TEST(ServerTest, PipelinedRequestsAllAnsweredById) {
     ASSERT_LE(response->request_id, kRequests);
     EXPECT_FALSE(answered[response->request_id]) << "duplicate response";
     answered[response->request_id] = true;
+  }
+}
+
+// A reply far larger than the socket buffer: the worker's direct send
+// fills the socket and leaves the rest queued for the IO thread, and
+// replies finishing meanwhile queue behind it. With the client slow to
+// read, every pipelined request must still be answered by id and the
+// large reply must arrive whole.
+TEST(ServerTest, OversizedReplyBehindFullSocketArrivesWhole) {
+  const ServerOptions options = BaseOptions("large_reply");
+  IsobarServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  const Bytes large = SmoothDoubles(512 * 1024);  // 4 MiB decompressed
+  CompressOptions direct_options;
+  direct_options.eupa.forced_codec = CodecId::kZlib;
+  direct_options.eupa.forced_linearization = Linearization::kColumn;
+  direct_options.num_threads = 1;
+  auto container = IsobarCompressor(direct_options).Compress(large, 8);
+  ASSERT_TRUE(container.ok());
+  ASSERT_LT(container->size(), large.size() / 4);
+
+  const Bytes small = SmoothDoubles(512);
+  const Bytes ping = {7, 7, 7};
+  const uint64_t aux = PackCompressAux(ForcedAux());
+  Client client = MustConnect(options);
+  constexpr uint64_t kRequests = 9;
+  ASSERT_TRUE(client.Send(Op::kDecompress, 1, 0, *container).ok());
+  for (uint64_t rid = 2; rid <= kRequests; ++rid) {
+    const bool is_ping = rid % 2 == 0;
+    ASSERT_TRUE(client
+                    .Send(is_ping ? Op::kPing : Op::kCompress, rid,
+                          is_ping ? 0 : aux, is_ping ? ping : small)
+                    .ok());
+  }
+  // Read late, so the large reply cannot leave in one send.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  std::vector<bool> answered(kRequests + 1, false);
+  for (uint64_t i = 0; i < kRequests; ++i) {
+    auto response = client.ReadResponse();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(response->ok()) << response->ToStatus().ToString();
+    const uint64_t rid = response->request_id;
+    ASSERT_GE(rid, 1u);
+    ASSERT_LE(rid, kRequests);
+    EXPECT_FALSE(answered[rid]) << "duplicate response " << rid;
+    answered[rid] = true;
+    if (rid == 1) {
+      EXPECT_TRUE(response->payload == large) << "large reply damaged";
+    } else if (rid % 2 == 0) {
+      EXPECT_EQ(response->payload, ping);
+    } else {
+      auto restored = IsobarCompressor::Decompress(response->payload);
+      ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+      EXPECT_TRUE(*restored == small);
+    }
   }
 }
 

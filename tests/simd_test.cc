@@ -327,7 +327,7 @@ TEST_F(SimdTierTest, GatherColumnsParityAcrossTiersRandomized) {
 // ---------------------------------------------------------------------------
 // End-to-end: the container must be byte-identical no matter which kernel
 // tier encoded it (and no matter the thread count — chunks are assembled
-// in order).
+// in order), under the default speed-preference EUPA selection.
 
 TEST_F(SimdTierTest, ContainerBytesIdenticalAcrossTiersAndThreads) {
   auto spec = FindDatasetSpec("gts_phi_l");
@@ -344,12 +344,6 @@ TEST_F(SimdTierTest, ContainerBytesIdenticalAcrossTiersAndThreads) {
       options.chunk_elements = 40000;  // several chunks
       options.num_threads = threads;
       options.eupa.sample_elements = 4096;
-      // kSpeed selects within a wall-clock throughput band, so the codec /
-      // linearization pick (and hence the container bytes) can flip under
-      // machine load. kRatio is bit-deterministic, which is what this test
-      // is actually about: identical bytes from identical inputs across
-      // tiers and thread counts.
-      options.eupa.preference = Preference::kRatio;
       IsobarCompressor compressor(options);
       auto container = compressor.Compress(dataset->bytes(), dataset->width());
       ASSERT_TRUE(container.ok())
