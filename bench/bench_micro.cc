@@ -313,8 +313,7 @@ void BM_TansDecode(benchmark::State& state) {
 BENCHMARK(BM_TansDecode);
 
 // EUPA selection cost on a mixed dataset (6 noise + 2 structured byte
-// columns): arg 0 runs the estimator-gated default, arg 1 the exhaustive
-// trial matrix — the gap is what pruning saves per Compress() call.
+// columns) under the ratio preference, which trials every candidate.
 void BM_EupaSelect(benchmark::State& state) {
   Bytes data;
   data.reserve(375000 * 8);
@@ -331,7 +330,6 @@ void BM_EupaSelect(benchmark::State& state) {
   }
   EupaOptions options;
   options.preference = Preference::kRatio;
-  if (state.range(0) != 0) options.prune_margin = 0.0;
   const EupaSelector selector(options);
   for (auto _ : state) {
     auto decision = selector.Select(data, 8, 0xC0);
@@ -339,9 +337,8 @@ void BM_EupaSelect(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(data.size()));
-  state.SetLabel(state.range(0) == 0 ? "gated" : "exhaustive");
 }
-BENCHMARK(BM_EupaSelect)->Arg(0)->Arg(1);
+BENCHMARK(BM_EupaSelect);
 
 void BM_PforCompress(benchmark::State& state) {
   const Dataset dataset = HardDataset(375000);

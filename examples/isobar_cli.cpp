@@ -200,11 +200,11 @@ int Usage(const char* argv0) {
       "--threads=N uses N worker threads for the chunk pipeline (0 = one\n"
       "per hardware thread, the default; 1 = serial). Output is identical\n"
       "for every thread count. --verbose prints the EUPA decision table\n"
-      "(every candidate's predicted and measured performance, and which\n"
-      "trials never ran: pruned by the estimator gate, or, under speed\n"
-      "preference, below a faster-ranked codec that met the ratio floor;\n"
-      "MB/s is reported, never decided on), the EUPA phase time, the\n"
-      "thread-pool scheduling summary, and the top-3 slowest chunks.\n"
+      "(every candidate's measured performance, and which trials never\n"
+      "ran: under speed preference, those below a faster-ranked codec\n"
+      "that met the ratio floor; MB/s is reported, never decided on), the\n"
+      "EUPA phase time, the thread-pool scheduling summary, and the top-3\n"
+      "slowest chunks.\n"
       "--trace-timeline writes the cross-thread event timeline as Chrome\n"
       "trace-event JSON (chrome://tracing / Perfetto / isobar_stat).\n"
       "--salvage recovers what it can from a damaged container: bad\n"
@@ -221,26 +221,20 @@ int Usage(const char* argv0) {
 }
 
 /// --verbose: the EUPA decision table — every (solver, linearization)
-/// candidate with its estimator prediction, measured sample performance,
-/// and what the selector did with it. "pruned" rows never ran a trial
-/// compression: the estimator gate skipped them, or (speed preference) a
-/// faster-ranked codec already met the ratio floor. The MB/s column is
-/// evidence only; the decision reads ratios alone.
+/// candidate with its measured sample performance and what the selector
+/// did with it. "pruned" rows never ran a trial compression: under speed
+/// preference, a faster-ranked codec already met the ratio floor. The
+/// MB/s column is evidence only; the decision reads ratios alone.
 void PrintDecisionTable(const EupaDecision& decision, double eupa_seconds) {
   std::fprintf(stderr, "EUPA decision table (%s preference, %.2f ms):\n",
                std::string(PreferenceToString(decision.preference)).c_str(),
                eupa_seconds * 1e3);
-  std::fprintf(stderr, "  %-8s %-7s %10s %9s %9s  %s\n", "solver", "lin",
-               "predicted", "ratio", "MB/s", "outcome");
-  char predicted[32], ratio[32], mbps[32];
+  std::fprintf(stderr, "  %-8s %-7s %9s %9s  %s\n", "solver", "lin",
+               "ratio", "MB/s", "outcome");
+  char ratio[32], mbps[32];
   for (const auto& eval : decision.evaluations) {
     const bool selected = !eval.pruned && eval.codec == decision.codec &&
                           eval.linearization == decision.linearization;
-    if (eval.predicted_ratio > 0.0) {
-      std::snprintf(predicted, sizeof(predicted), "%.2f", eval.predicted_ratio);
-    } else {
-      std::snprintf(predicted, sizeof(predicted), "-");
-    }
     // Pruned candidates never ran, so their measured fields are blank.
     if (eval.pruned) {
       std::snprintf(ratio, sizeof(ratio), "-");
@@ -250,10 +244,10 @@ void PrintDecisionTable(const EupaDecision& decision, double eupa_seconds) {
       std::snprintf(mbps, sizeof(mbps), "%.1f", eval.throughput_mbps);
     }
     std::fprintf(
-        stderr, "  %-8s %-7s %10s %9s %9s  %s\n",
+        stderr, "  %-8s %-7s %9s %9s  %s\n",
         std::string(CodecIdToString(eval.codec)).c_str(),
         std::string(LinearizationToString(eval.linearization)).c_str(),
-        predicted, ratio, mbps,
+        ratio, mbps,
         eval.pruned ? "pruned" : (selected ? "selected" : "trialed"));
   }
 }

@@ -107,6 +107,16 @@ asan() {
   ctest --test-dir build-ci-asan --output-on-failure -j "${JOBS}" \
     -R 'RangeReadTest|ColumnReadTest|SeekToChunkTest|FooterIdentityTest|Salvage|ReaderAgreementTest'
   echo "=== [asan] container-read focus OK ==="
+  # Third, the container-write suites with the pool forced on: the one
+  # writer borrows the batch input's chunk spans, moves full pending
+  # buffers into pool tasks, and copies the caller's Append spans, so a
+  # lifetime slip there is a use-after-free only ASan sees. Four threads
+  # take the pooled path whatever the runner's core count.
+  echo "=== [asan] container-write focus ==="
+  ISOBAR_TEST_THREADS=4 \
+    ctest --test-dir build-ci-asan --output-on-failure -j "${JOBS}" \
+      -R 'StreamWriterTest|ParallelPipelineTest|ChunkCodecTest|InSituTest|IsobarPipelineTest'
+  echo "=== [asan] container-write focus OK ==="
 }
 
 tsan() {

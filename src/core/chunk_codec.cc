@@ -59,20 +59,18 @@ Result<uint64_t> RunEupaPhase(const CompressOptions& options,
   return id;
 }
 
-Status EncodeChunk(const Analyzer& analyzer, const Codec& codec,
-                   Linearization linearization, ByteSpan chunk, size_t width,
-                   Bytes* out, CompressionStats* stats,
-                   uint64_t trace_pipeline_id,
-                   telemetry::ChunkTrace* trace_out, ScratchArena* arena,
-                   uint64_t chunk_ordinal, Linearization raw_linearization) {
+Status EncodeChunk(const ChunkPipeline& pipeline, ByteSpan chunk, Bytes* out,
+                   CompressionStats* stats, telemetry::ChunkTrace* trace_out,
+                   ScratchArena* arena, uint64_t chunk_ordinal) {
+  const size_t width = pipeline.width;
   const uint64_t full_mask = FullMask(width);
-  telemetry::ScopedSpan chunk_span("compress.chunk", trace_pipeline_id,
+  telemetry::ScopedSpan chunk_span("compress.chunk", pipeline.trace_id,
                                    chunk_ordinal + 1);
   const size_t record_base = out->size();
 
   Stopwatch analysis_timer;
   ISOBAR_ASSIGN_OR_RETURN(AnalysisResult analysis,
-                          analyzer.Analyze(chunk, width));
+                          pipeline.analyzer.Analyze(chunk, width));
   const double analysis_seconds = analysis_timer.ElapsedSeconds();
   if (stats != nullptr) {
     stats->analysis_seconds += analysis_seconds;
@@ -110,32 +108,31 @@ Status EncodeChunk(const Analyzer& analyzer, const Codec& codec,
   double partition_seconds = 0.0;
   if (analysis.improvable()) {
     Stopwatch partition_timer;
-    ISOBAR_RETURN_NOT_OK(PartitionDataInto(chunk, width,
-                                           analysis.compressible_mask,
-                                           linearization, &gathered, &raw,
-                                           raw_linearization));
+    ISOBAR_RETURN_NOT_OK(PartitionDataInto(
+        chunk, width, analysis.compressible_mask, pipeline.linearization,
+        &gathered, &raw, pipeline.raw_linearization));
     partition_seconds = partition_timer.ElapsedSeconds();
     raw_section = ByteSpan(raw);
   } else {
     // Undetermined (Alg. 1 lines 2-3): the whole chunk goes to the
     // solver, still in the EUPA-chosen linearization.
     chunk_header.flags |= container::kChunkUndetermined;
-    telemetry::ScopedSpan gather_span("chunk.partition", trace_pipeline_id,
+    telemetry::ScopedSpan gather_span("chunk.partition", pipeline.trace_id,
                                       chunk_ordinal + 1);
     Stopwatch partition_timer;
-    ISOBAR_RETURN_NOT_OK(
-        GatherColumns(chunk, width, full_mask, linearization, &gathered));
+    ISOBAR_RETURN_NOT_OK(GatherColumns(chunk, width, full_mask,
+                                       pipeline.linearization, &gathered));
     partition_seconds = partition_timer.ElapsedSeconds();
   }
   if (stats != nullptr) stats->partition_seconds += partition_seconds;
 
   double codec_seconds = 0.0;
   {
-    telemetry::ScopedSpan solve_span("chunk.solve", trace_pipeline_id,
+    telemetry::ScopedSpan solve_span("chunk.solve", pipeline.trace_id,
                                      chunk_ordinal + 1);
     Stopwatch codec_timer;
     compressed.clear();  // Arena slot may hold the previous chunk's output.
-    ISOBAR_RETURN_NOT_OK(codec.Compress(gathered, &compressed));
+    ISOBAR_RETURN_NOT_OK(pipeline.codec->Compress(gathered, &compressed));
     codec_seconds = codec_timer.ElapsedSeconds();
   }
   if (stats != nullptr) stats->codec_seconds += codec_seconds;
@@ -170,7 +167,7 @@ Status EncodeChunk(const Analyzer& analyzer, const Codec& codec,
   if (arena != nullptr) arena->PublishStats();
 
   auto& recorder = telemetry::TraceRecorder::Global();
-  if (trace_pipeline_id != 0 && recorder.enabled()) {
+  if (pipeline.trace_id != 0 && recorder.enabled()) {
     telemetry::ChunkTrace trace;
     trace.element_count = chunk_header.element_count;
     trace.input_bytes = chunk.size();
@@ -190,7 +187,7 @@ Status EncodeChunk(const Analyzer& analyzer, const Codec& codec,
       // stitches worker traces back into chunk order.
       *trace_out = std::move(trace);
     } else {
-      recorder.RecordChunk(trace_pipeline_id, std::move(trace));
+      recorder.RecordChunk(pipeline.trace_id, std::move(trace));
     }
   }
   return Status::OK();

@@ -14,47 +14,57 @@
 
 namespace isobar {
 
-/// Shared per-chunk pipeline of Alg. 1, used by both the batch
-/// IsobarCompressor and the streaming writer/reader.
+/// Shared per-chunk pipeline of Alg. 1, used by the container writer
+/// (IsobarStreamWriter, which also serves IsobarCompressor::Compress) and
+/// by every reader.
 
-/// The EUPA phase both writers run once per pipeline (§II.C). Applies the
-/// ISOBAR_FORCE_CODEC hook (explicit caller overrides win); unless codec
-/// and linearization are both forced, analyzes `probe` (a prefix of
-/// `training`) for the compressible mask and runs EupaSelector::Select on
-/// `training`. Empty training data falls back to the forced or default
-/// pipeline. Sets stats->decision, adds the probe + Select wall time to
-/// stats->eupa_seconds, and opens the pipeline trace with the candidate
-/// evidence; returns its id (0 when tracing is off).
+/// The container writer's EUPA phase, run once per pipeline (§II.C).
+/// Applies the ISOBAR_FORCE_CODEC hook (explicit caller overrides win);
+/// unless codec and linearization are both forced, analyzes `probe` (a
+/// prefix of `training`) for the compressible mask and runs
+/// EupaSelector::Select on `training`. Empty training data falls back to
+/// the forced or default pipeline. Sets stats->decision, adds the probe +
+/// Select wall time to stats->eupa_seconds, and opens the pipeline trace
+/// with the candidate evidence; returns its id (0 when tracing is off).
 Result<uint64_t> RunEupaPhase(const CompressOptions& options,
                               ByteSpan training, ByteSpan probe, size_t width,
                               CompressionStats* stats);
 
-/// Analyzes, partitions, and solver-compresses one chunk, appending its
-/// container record ([chunk header][solver bytes][raw noise bytes]) to
-/// `*out`. Timing and verdict fields of `*stats` are accumulated (may be
-/// null). When `trace_pipeline_id` is nonzero and tracing is on, a
-/// telemetry::ChunkTrace record (verdict, partition map, stage timings,
-/// byte accounting) is appended to that pipeline's trace — unless
-/// `trace_out` is non-null, in which case the record is written there
-/// instead of into the global recorder. Parallel pipelines use the
-/// out-param so a single writer can stitch worker-produced traces back
-/// into chunk order. When `arena` is non-null its slots back the gather /
-/// raw / compressed temporaries, so a worker encoding many chunks reuses
-/// the same steady-state allocations instead of reallocating per chunk.
-/// `chunk_ordinal` is the chunk's 0-based position in its pipeline, used
-/// only to tag the chunk's timeline events (so a trace viewer can follow
-/// one chunk across workers); it does not affect the encoding.
-/// `raw_linearization` is the container-version-dependent layout of the
-/// record's raw (incompressible) section — kRow for v1, kColumn for v2
-/// (see container::RawSectionLinearization); encoder and decoder must
-/// agree on it for a given record.
-Status EncodeChunk(const Analyzer& analyzer, const Codec& codec,
-                   Linearization linearization, ByteSpan chunk, size_t width,
-                   Bytes* out, CompressionStats* stats,
-                   uint64_t trace_pipeline_id = 0,
+/// The constants of one compress pipeline, fixed by its EUPA phase and
+/// shared by every chunk it encodes.
+struct ChunkPipeline {
+  Analyzer analyzer;
+  const Codec* codec = nullptr;
+  Linearization linearization = Linearization::kRow;
+  /// Layout of each record's raw (incompressible) section: kRow for v1,
+  /// kColumn for v2 (see container::RawSectionLinearization). Encoder and
+  /// decoder must agree on it for a given record.
+  Linearization raw_linearization = Linearization::kRow;
+  size_t width = 0;
+  /// Telemetry pipeline-trace id; 0 records no chunk traces.
+  uint64_t trace_id = 0;
+};
+
+/// Analyzes, partitions, and solver-compresses one chunk through
+/// `pipeline`, appending its container record ([chunk header][solver
+/// bytes][raw noise bytes]) to `*out`. Timing and verdict fields of
+/// `*stats` are accumulated (may be null). When `pipeline.trace_id` is
+/// nonzero and tracing is on, a telemetry::ChunkTrace record (verdict,
+/// partition map, stage timings, byte accounting) is appended to that
+/// pipeline's trace — unless `trace_out` is non-null, in which case the
+/// record is written there instead of into the global recorder. Pooled
+/// encodes use the out-param so the single writer can stitch
+/// worker-produced traces back into chunk order. When `arena` is non-null
+/// its slots back the gather / raw / compressed temporaries, so a worker
+/// encoding many chunks reuses the same steady-state allocations instead
+/// of reallocating per chunk. `chunk_ordinal` is the chunk's 0-based
+/// position in its pipeline, used only to tag the chunk's timeline events
+/// (so a trace viewer can follow one chunk across workers); it does not
+/// affect the encoding.
+Status EncodeChunk(const ChunkPipeline& pipeline, ByteSpan chunk, Bytes* out,
+                   CompressionStats* stats,
                    telemetry::ChunkTrace* trace_out = nullptr,
-                   ScratchArena* arena = nullptr, uint64_t chunk_ordinal = 0,
-                   Linearization raw_linearization = Linearization::kRow);
+                   ScratchArena* arena = nullptr, uint64_t chunk_ordinal = 0);
 
 /// Prefixes a failed `status` with the failing record's position —
 /// "chunk 17 (container offset 123456): ..." — so corruption reports name

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdlib>
 #include <numeric>
 
 #include "compressors/registry.h"
 #include "linearize/transpose.h"
-#include "simd/dispatch.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
 #include "util/random.h"
@@ -16,133 +14,6 @@
 
 namespace isobar {
 namespace {
-
-// Cheap statistics of one linearized training sample, feeding the
-// estimator gate. All three are deterministic functions of the bytes, so
-// gated selection stays a deterministic process (§II.C).
-struct SampleSignals {
-  double entropy_ratio = 1.0;   ///< order-0 Huffman bound (lin-independent)
-  double run_fraction = 0.0;    ///< adjacent equal-byte pair rate
-  double match_fraction = 0.0;  ///< repeated 3-byte window probe rate
-};
-
-// Order-0 entropy bound as a ratio: 8 bits per byte over the sample's
-// Shannon entropy. The histogram pass rides the SIMD tier dispatch. A
-// single-valued sample reports the exact two-byte Huffman special case
-// instead, which is what an entropy coder actually achieves there.
-double EntropyRatioBound(ByteSpan data) {
-  std::array<uint64_t, 256> hist{};
-  simd::Kernels().histogram_update(data.data(), data.size(), 1, hist.data());
-  const double n = static_cast<double>(data.size());
-  double entropy = 0.0;
-  int distinct = 0;
-  for (uint64_t count : hist) {
-    if (count == 0) continue;
-    ++distinct;
-    const double p = static_cast<double>(count) / n;
-    entropy -= p * std::log2(p);
-  }
-  if (distinct <= 1) return n / 2.0;
-  return 8.0 / entropy;
-}
-
-double RunFraction(ByteSpan data) {
-  if (data.size() < 2) return 0.0;
-  size_t equal = 0;
-  for (size_t i = 1; i < data.size(); ++i) {
-    equal += data[i] == data[i - 1] ? 1 : 0;
-  }
-  return static_cast<double>(equal) / static_cast<double>(data.size() - 1);
-}
-
-// Fraction of probed 3-byte windows whose bytes were already seen at the
-// hash table's previous position — an upper-bound proxy for the LZ match
-// rate (probe distances ignore codec window limits, so it only errs
-// toward predicting more matches).
-double MatchProbeRate(ByteSpan data) {
-  if (data.size() < 3) return 0.0;
-  constexpr size_t kProbeTarget = 4096;
-  constexpr uint32_t kTableBits = 12;
-  std::array<uint32_t, 1u << kTableBits> last{};  // position + 1; 0 = empty
-  const size_t windows = data.size() - 2;
-  const size_t stride = std::max<size_t>(1, windows / kProbeTarget);
-  size_t probes = 0;
-  size_t hits = 0;
-  for (size_t i = 0; i < windows; i += stride) {
-    const uint32_t v = static_cast<uint32_t>(data[i]) |
-                       static_cast<uint32_t>(data[i + 1]) << 8 |
-                       static_cast<uint32_t>(data[i + 2]) << 16;
-    const uint32_t h = (v * 2654435761u) >> (32 - kTableBits);
-    if (last[h] != 0) {
-      const size_t p = last[h] - 1;
-      hits += (data[p] == data[i] && data[p + 1] == data[i + 1] &&
-               data[p + 2] == data[i + 2])
-                  ? 1
-                  : 0;
-    }
-    last[h] = static_cast<uint32_t>(i + 1);
-    ++probes;
-  }
-  return static_cast<double>(hits) / static_cast<double>(probes);
-}
-
-// Optimistic predicted ratio for one candidate codec. Every formula is an
-// upper bound (or a generously inflated estimate) of what the codec can
-// achieve given the signals: the gate must only prune candidates whose
-// trial could not have changed the decision, so erring high merely costs
-// an extra trial while erring low could flip a selection.
-double PredictRatio(CodecId codec, const SampleSignals& s) {
-  // 1/(1 - fraction), saturating at `cap` (the codec's own format bound).
-  const auto coverage_ratio = [](double fraction, double cap) {
-    return std::min(cap, 1.0 / std::max(1.0 - fraction, 1.0 / cap));
-  };
-  switch (codec) {
-    case CodecId::kStored:
-      return 1.0;
-    case CodecId::kRle:
-      // Best case two output bytes per 130-byte run.
-      return coverage_ratio(s.run_fraction, 65.0);
-    case CodecId::kHuffman:
-      // Huffman output is >= n * H bits, so 8/H bounds the ratio.
-      return s.entropy_ratio;
-    case CodecId::kLzss:
-      // Best case 17 token bits per 18-byte match; runs are matches too.
-      return std::max(coverage_ratio(s.match_fraction, 8.5),
-                      coverage_ratio(s.run_fraction, 8.5));
-    case CodecId::kZlib:
-      // Dictionary + entropy stages multiply, so bound by the product of
-      // both optimistic factors. The saturation value must be deflate's
-      // own format ceiling (~1032:1 — 258-byte matches at a couple of
-      // bits each): when every probe hits, the fractions carry no upper
-      // bound at all, and any tighter clamp would prune trials the codec
-      // can win outright.
-      return std::min(1032.0, 1.25 * s.entropy_ratio *
-                                  std::max(coverage_ratio(s.match_fraction,
-                                                          1032.0),
-                                           coverage_ratio(s.run_fraction,
-                                                          1032.0)));
-    case CodecId::kLzans:
-      // LZ77 over a 128 KiB window (4x zlib's) + tANS entropy stage: its
-      // long-range matches reach block-sort-class ratios on structure
-      // the 3-byte probes cannot see (e.g. num_plasma), so it shares the
-      // bzip2/BWT bound — anything tighter starves the trial it would win.
-    case CodecId::kBzip2:
-    case CodecId::kBwt:
-      // Block sorting (and lzans's RLE block escape) collapses whole
-      // 128 KiB blocks to a handful of bytes, so the honest format
-      // ceiling sits in the tens of thousands. Saturated probes must
-      // predict that ceiling, not a round number: measured ratios on the
-      // smooth-field profiles run past 2500:1, and a clamp below them
-      // made the gate prune the exhaustive winner.
-      return std::min(20000.0, 1.4 * s.entropy_ratio *
-                                   std::max(coverage_ratio(s.match_fraction,
-                                                           20000.0),
-                                            coverage_ratio(s.run_fraction,
-                                                           20000.0)));
-  }
-  // Codecs without a model are never pruned.
-  return 1e12;
-}
 
 // Codecs fastest first, by summed encode + decode ns/byte of the
 // Release bench_micro rows BM_SolverCompress / BM_SolverDecompress on
@@ -270,7 +141,8 @@ Result<EupaDecision> EupaSelector::Select(ByteSpan data, size_t width,
   }
 
   // Candidate matrix in canonical (linearization-major) order, which is
-  // also the tie-break order of the decision below.
+  // also the trial order within a tier and the tie-break order of the
+  // decision below.
   std::vector<size_t> lin_index;
   lin_index.reserve(linearizations.size() * codecs.size());
   for (size_t li = 0; li < linearizations.size(); ++li) {
@@ -283,31 +155,10 @@ Result<EupaDecision> EupaSelector::Select(ByteSpan data, size_t width,
     }
   }
 
-  // Estimator gate (prune_margin > 0): predict each candidate's ratio
-  // from cheap sample statistics, so strong candidates are trialed first
-  // and set the incumbent early. prune_margin == 0 keeps the exhaustive
-  // trial order bit-for-bit (no statistics are computed).
-  const bool gated = options_.prune_margin > 0.0;
-  if (gated) {
-    // The entropy bound is linearization-independent (same byte multiset),
-    // so compute it once; the locality-sensitive signals are per layout.
-    const double entropy_ratio = EntropyRatioBound(gathered[0]);
-    std::vector<SampleSignals> signals(linearizations.size());
-    for (size_t li = 0; li < linearizations.size(); ++li) {
-      signals[li].entropy_ratio = entropy_ratio;
-      signals[li].run_fraction = RunFraction(gathered[li]);
-      signals[li].match_fraction = MatchProbeRate(gathered[li]);
-    }
-    for (size_t c = 0; c < decision.evaluations.size(); ++c) {
-      decision.evaluations[c].predicted_ratio = PredictRatio(
-          decision.evaluations[c].codec, signals[lin_index[c]]);
-    }
-  }
-
   // Trial tiers: kRatio puts every codec in one tier; kSpeed gives each
   // codec the tier of its speed rank, so the walk below trials the
   // fastest codec first and a slower one only when no faster one reached
-  // the ratio floor. Inside a tier, gated trials run predicted-best first.
+  // the ratio floor.
   const auto tier = [&](size_t c) -> size_t {
     return options_.preference == Preference::kRatio
                ? 0
@@ -315,12 +166,8 @@ Result<EupaDecision> EupaSelector::Select(ByteSpan data, size_t width,
   };
   std::vector<size_t> trial_order(decision.evaluations.size());
   std::iota(trial_order.begin(), trial_order.end(), 0);
-  std::stable_sort(
-      trial_order.begin(), trial_order.end(), [&](size_t a, size_t b) {
-        if (tier(a) != tier(b)) return tier(a) < tier(b);
-        return gated && decision.evaluations[a].predicted_ratio >
-                            decision.evaluations[b].predicted_ratio;
-      });
+  std::stable_sort(trial_order.begin(), trial_order.end(),
+                   [&](size_t a, size_t b) { return tier(a) < tier(b); });
 
   static telemetry::Counter& trials_run =
       telemetry::GetCounter("eupa.trials_run");
@@ -330,10 +177,7 @@ Result<EupaDecision> EupaSelector::Select(ByteSpan data, size_t width,
       telemetry::GetCounter("eupa.candidates_measured");
 
   // The walk. Once a finished tier holds a candidate at or above
-  // min_ratio, every later tier is pruned untrialed. Before that, the gate
-  // prunes a candidate whose inflated prediction cannot beat the best
-  // ratio measured so far: it could neither win its tier nor the
-  // all-below-floor fallback.
+  // min_ratio, every later tier is pruned untrialed.
   double best_measured = 0.0;
   bool floor_met = false;
   for (size_t i = 0; i < trial_order.size(); ++i) {
@@ -342,11 +186,7 @@ Result<EupaDecision> EupaSelector::Select(ByteSpan data, size_t width,
     if (i > 0 && tier(c) != tier(trial_order[i - 1])) {
       floor_met = best_measured >= options_.min_ratio;
     }
-    const bool prune =
-        floor_met ||
-        (gated && best_measured > 0.0 &&
-         eval.predicted_ratio * (1.0 + options_.prune_margin) < best_measured);
-    if (prune) {
+    if (floor_met) {
       eval.pruned = true;
       trials_pruned.Increment();
       continue;

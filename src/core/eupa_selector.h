@@ -33,26 +33,12 @@ struct EupaOptions {
   /// that does not expand the data.
   double min_ratio = 1.0;
 
-  /// Estimator gate (§II.C high-throughput selection): before any trial
-  /// compression runs, each candidate gets a cheap predicted ratio from
-  /// sample statistics (order-0 entropy bound, run density, match-probe
-  /// rate). A candidate is pruned — its trial never runs — when even its
-  /// predicted ratio inflated by this margin cannot beat the best ratio
-  /// measured so far. Under kRatio that applies across every candidate;
-  /// under kSpeed, as the speed walk proceeds (it may skip a linearization
-  /// of the codec being trialed, or a slower candidate that could not beat
-  /// a ratio measured below the floor). 0 disables the gate; the trials then
-  /// run in canonical order, and kRatio trials the whole matrix. The
-  /// default margin is generous enough that kRatio selection matches
-  /// exhaustive search on every tier-1 input; see docs/PERFORMANCE.md for
-  /// the calibration notes.
-  double prune_margin = 0.25;
-
   /// Elements in the training sample drawn from the input. The sample is
   /// taken as several contiguous runs at deterministic pseudo-random
   /// offsets so both locality-sensitive (LZ window) and frequency
   /// statistics are represented. The default keeps the selector's own
-  /// cost (notably the bzip2 trial) a small fraction of the pipeline.
+  /// cost (two lzans trials in a default kSpeed selection) a small
+  /// fraction of the pipeline.
   uint64_t sample_elements = 16 * 1024;
   uint64_t sample_runs = 8;
   uint64_t seed = 0x15D0BA5ull;
@@ -88,12 +74,9 @@ struct CandidateEvaluation {
   /// Wall-clock throughput of the trial compression. Reported evidence
   /// only: no decision reads it, so selection is independent of load.
   double throughput_mbps = 0.0;
-  /// Estimator-predicted ratio from sample statistics; populated whenever
-  /// the estimator gate is active (prune_margin > 0), 0 otherwise.
-  double predicted_ratio = 0.0;
-  /// True when the candidate's trial compression never ran: the gate
-  /// skipped it, or (kSpeed) a faster-ranked codec already reached
-  /// min_ratio. The measured fields (ratio, throughput_mbps) are then 0.
+  /// True when the candidate's trial compression never ran because
+  /// (kSpeed) a faster-ranked codec already reached min_ratio. The
+  /// measured fields (ratio, throughput_mbps) are then 0.
   bool pruned = false;
 };
 

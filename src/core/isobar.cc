@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 #include <future>
 #include <limits>
 #include <memory>
@@ -10,28 +9,16 @@
 #include <utility>
 #include <vector>
 
-#include "compressors/registry.h"
 #include "core/chunk_codec.h"
 #include "core/read_plan.h"
+#include "core/stream.h"
+#include "io/sink.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
-#include "telemetry/trace_export.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace isobar {
-namespace {
-
-/// One chunk's encode result, produced on a worker and consumed by the
-/// (single) container writer.
-struct EncodedChunk {
-  Status status;
-  Bytes record;
-  CompressionStats stats;
-  telemetry::ChunkTrace trace;
-};
-
-}  // namespace
 
 Status ValidateCompressInput(uint64_t data_bytes, size_t width) {
   if (width == 0 || width > 64) {
@@ -56,17 +43,8 @@ Result<Bytes> IsobarCompressor::Compress(ByteSpan data, size_t width,
                                          CompressionStats* stats) const {
   if (stats == nullptr) return Status::InvalidArgument("stats must not be null");
   ISOBAR_RETURN_NOT_OK(ValidateCompressInput(data.size(), width));
-  ISOBAR_RETURN_NOT_OK(ValidateAnalyzerOptions(options_.analyzer));
-  if (options_.chunk_elements == 0) {
-    return Status::InvalidArgument("chunk_elements must be > 0");
-  }
-  if (options_.container_version < container::kVersionV1 ||
-      options_.container_version > container::kVersion) {
-    return Status::InvalidArgument("unsupported container_version");
-  }
+  ISOBAR_RETURN_NOT_OK(IsobarStreamWriter::ValidateOptions(options_, width));
 
-  *stats = CompressionStats{};
-  stats->input_bytes = data.size();
   telemetry::ScopedSpan compress_span("compress");
   static telemetry::Counter& compress_calls =
       telemetry::GetCounter("pipeline.compress_calls");
@@ -78,144 +56,17 @@ Result<Bytes> IsobarCompressor::Compress(ByteSpan data, size_t width,
   compress_input.Add(data.size());
   Stopwatch total_timer;
 
-  const Analyzer analyzer(options_.analyzer);
-  // --- EUPA phase: pick the (solver × linearization) pipeline once per
-  // dataset from a training sample (§II.C), probing the analyzer verdict
-  // on the first sample_elements elements.
-  const uint64_t probe_elements = std::min<uint64_t>(
-      data.size() / width,
-      std::max<uint64_t>(options_.eupa.sample_elements, 1));
-  ISOBAR_ASSIGN_OR_RETURN(
-      const uint64_t trace_id,
-      RunEupaPhase(options_, data, data.subspan(0, probe_elements * width),
-                   width, stats));
-  const EupaDecision decision = stats->decision;
-
-  ISOBAR_ASSIGN_OR_RETURN(const Codec* codec, GetCodec(decision.codec));
-
-  // --- Chunked pipeline (Alg. 1 applied per chunk, §II.D).
-  const Chunker chunker(data, width, options_.chunk_elements);
+  // The container writer's whole-input entry: counted header, the whole
+  // input as EUPA's training window, chunks borrowed from `data`.
   Bytes out;
   out.reserve(data.size() / 2 + container::kHeaderSize);
-
-  container::Header header;
-  header.version = options_.container_version;
-  header.width = static_cast<uint8_t>(width);
-  header.codec = decision.codec;
-  header.linearization = decision.linearization;
-  header.preference = options_.eupa.preference;
-  // Safe cast: ValidateAnalyzerOptions bounded tau to a finite [1, 256].
-  header.tau_centi = static_cast<uint16_t>(options_.analyzer.tau * 100.0 + 0.5);
-  header.element_count = data.size() / width;
-  header.chunk_elements = options_.chunk_elements;
-  header.chunk_count = chunker.chunk_count();
-  container::AppendHeader(header, &out);
-  const size_t header_bytes = out.size();
-  const Linearization raw_linearization =
-      container::RawSectionLinearization(header.version);
-
-  // Container offset of each chunk record as it is appended; v2 builds
-  // its index footer from these after the pipeline drains.
-  std::vector<size_t> record_offsets;
-  record_offsets.reserve(static_cast<size_t>(chunker.chunk_count()));
-
-  const size_t num_threads = ResolveNumThreads(options_.num_threads);
-  if (num_threads <= 1 || chunker.chunk_count() <= 1) {
-    ScratchArena& arena = ScratchArena::ThreadLocal();
-    for (uint64_t ci = 0; ci < chunker.chunk_count(); ++ci) {
-      record_offsets.push_back(out.size());
-      ISOBAR_RETURN_NOT_OK(EncodeChunk(analyzer, *codec,
-                                       decision.linearization,
-                                       chunker.chunk(ci), width, &out, stats,
-                                       trace_id, nullptr, &arena, ci,
-                                       raw_linearization));
-    }
-  } else {
-    // Fan each chunk's analyze→partition→solve out as a pool task; this
-    // thread stays the single writer, appending records in chunk order.
-    // The in-flight window bounds memory at O(threads) encoded chunks
-    // instead of O(file).
-    auto& recorder = telemetry::TraceRecorder::Global();
-    const bool tracing = trace_id != 0;
-    // This thread is the pipeline's in-order writer; name its timeline
-    // track so writer stalls are attributable in the trace viewer.
-    telemetry::Timeline::SetCurrentThreadName("writer");
-    ThreadPool pool(num_threads);
-    const size_t window = 2 * num_threads;
-    std::deque<std::future<EncodedChunk>> in_flight;
-    uint64_t next_chunk = 0;
-    auto submit_next = [&] {
-      const uint64_t ordinal = next_chunk++;
-      const ByteSpan chunk = chunker.chunk(ordinal);
-      in_flight.push_back(
-          pool.Submit([&analyzer, &codec, &decision, chunk, width, trace_id,
-                       tracing, ordinal, raw_linearization]() -> EncodedChunk {
-            EncodedChunk encoded;
-            // ThreadLocal() inside the task: each pool worker gets (and
-            // keeps) its own arena across every chunk it encodes.
-            encoded.status = EncodeChunk(
-                analyzer, *codec, decision.linearization, chunk, width,
-                &encoded.record, &encoded.stats, trace_id,
-                tracing ? &encoded.trace : nullptr,
-                &ScratchArena::ThreadLocal(), ordinal, raw_linearization);
-            return encoded;
-          }));
-    };
-    while (next_chunk < chunker.chunk_count() && in_flight.size() < window) {
-      submit_next();
-    }
-    uint64_t write_index = 0;
-    while (!in_flight.empty()) {
-      EncodedChunk encoded;
-      {
-        // The in-order stall: how long the writer blocked on the oldest
-        // outstanding chunk. On the timeline, back-to-back writer.wait
-        // slices mean workers can't keep the window full.
-        telemetry::ScopedSpan wait_span("writer.wait", trace_id,
-                                        write_index + 1);
-        encoded = in_flight.front().get();
-      }
-      in_flight.pop_front();
-      if (next_chunk < chunker.chunk_count()) submit_next();
-      // On error the early return destroys `pool`, which drains the
-      // remaining queued tasks before the chunker and codec go away.
-      ISOBAR_RETURN_NOT_OK(encoded.status);
-      {
-        telemetry::ScopedSpan append_span("writer.append", trace_id,
-                                          write_index + 1);
-        record_offsets.push_back(out.size());
-        out.insert(out.end(), encoded.record.begin(), encoded.record.end());
-        MergeChunkStats(encoded.stats, stats);
-        if (tracing) recorder.RecordChunk(trace_id, std::move(encoded.trace));
-      }
-      ++write_index;
-    }
-    pool.PublishStats();
-  }
-
-  if (header.version >= container::kVersion) {
-    // Build the chunk-index footer from the records just written; both
-    // this path and the streaming writer derive entries from the final
-    // byte layout, so batch and streamed containers of the same input
-    // carry byte-identical footers.
-    std::vector<container::IndexEntry> entries;
-    entries.reserve(record_offsets.size());
-    uint64_t element_offset = 0;
-    for (const size_t record_offset : record_offsets) {
-      ISOBAR_ASSIGN_OR_RETURN(
-          container::IndexEntry entry,
-          container::MakeIndexEntry(out, record_offset, element_offset));
-      element_offset += entry.element_count;
-      entries.push_back(entry);
-    }
-    container::AppendFooter(entries, header.element_count, &out);
-  }
-
-  stats->output_bytes = out.size();
+  MemorySink sink(&out);
+  IsobarStreamWriter writer(options_, width, &sink);
+  const Status status = writer.WriteAll(data);
+  *stats = writer.stats();
+  ISOBAR_RETURN_NOT_OK(status);
   stats->total_seconds = total_timer.ElapsedSeconds();
   compress_output.Add(out.size());
-  telemetry::TraceRecorder::Global().EndPipeline(trace_id, data.size(),
-                                                 out.size(), header_bytes);
   return out;
 }
 

@@ -214,7 +214,11 @@ class IsobarCompressor {
   const CompressOptions& options() const { return options_; }
 
   /// Compresses `data` interpreted as elements of `width` bytes
-  /// (width in [1, 64]; data.size() must be a multiple of width).
+  /// (width in [1, 64]; data.size() must be a multiple of width). Runs on
+  /// the one container writer, IsobarStreamWriter, with the whole input in
+  /// hand: the header carries counted totals, EUPA trains on all of `data`
+  /// and probes the analyzer on its first sample_elements elements, and
+  /// chunks are encoded straight from `data`, never copied.
   Result<Bytes> Compress(ByteSpan data, size_t width) const;
 
   /// As above, also filling `*stats` (must not be null).

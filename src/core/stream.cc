@@ -4,7 +4,7 @@
 #include <string>
 
 #include "compressors/registry.h"
-#include "core/chunk_codec.h"
+#include "core/chunker.h"
 #include "core/read_plan.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
@@ -17,45 +17,70 @@ namespace isobar {
 IsobarStreamWriter::IsobarStreamWriter(CompressOptions options, size_t width,
                                        ByteSink* sink)
     : options_(std::move(options)), width_(width), sink_(sink) {
-  if (width_ == 0 || width_ > 64) {
-    init_status_ = Status::InvalidArgument("element width must be in [1, 64]");
-  } else if (options_.chunk_elements == 0) {
-    init_status_ = Status::InvalidArgument("chunk_elements must be > 0");
-  } else if (sink_ == nullptr) {
+  init_status_ = ValidateOptions(options_, width_);
+  if (init_status_.ok() && sink_ == nullptr) {
     init_status_ = Status::InvalidArgument("sink must not be null");
-  } else if (options_.container_version < container::kVersionV1 ||
-             options_.container_version > container::kVersion) {
-    init_status_ = Status::InvalidArgument("unsupported container_version");
-  } else {
-    init_status_ = ValidateAnalyzerOptions(options_.analyzer);
   }
   stats_.decision.preference = options_.eupa.preference;
   num_threads_ = ResolveNumThreads(options_.num_threads);
 }
 
-Status IsobarStreamWriter::EnsurePipeline(ByteSpan training_data) {
-  if (header_written_) return Status::OK();
+Status IsobarStreamWriter::ValidateOptions(const CompressOptions& options,
+                                           size_t width) {
+  ISOBAR_RETURN_NOT_OK(ValidateCompressInput(0, width));
+  if (options.chunk_elements == 0) {
+    return Status::InvalidArgument("chunk_elements must be > 0");
+  }
+  if (options.container_version < container::kVersionV1 ||
+      options.container_version > container::kVersion) {
+    return Status::InvalidArgument("unsupported container_version");
+  }
+  return ValidateAnalyzerOptions(options.analyzer);
+}
 
-  // The batch compressor's EUPA phase, with the whole training window as
-  // the analyzer probe.
+Status IsobarStreamWriter::WriteAll(ByteSpan data) {
+  ISOBAR_RETURN_NOT_OK(init_status_);
+  stats_.input_bytes = data.size();
+  const Chunker chunker(data, width_, options_.chunk_elements);
+  const uint64_t probe_elements = std::min<uint64_t>(
+      data.size() / width_,
+      std::max<uint64_t>(options_.eupa.sample_elements, 1));
+  ISOBAR_RETURN_NOT_OK(
+      StartPipeline(data, data.subspan(0, probe_elements * width_),
+                    data.size() / width_, chunker.chunk_count()));
+  for (uint64_t i = 0; i < chunker.chunk_count(); ++i) {
+    ISOBAR_RETURN_NOT_OK(EmitChunk(chunker.chunk(i), ChunkSource::kWholeInput,
+                                   i + 1 == chunker.chunk_count()));
+  }
+  return Seal();
+}
+
+Status IsobarStreamWriter::StartPipeline(ByteSpan training, ByteSpan probe,
+                                         uint64_t element_count,
+                                         uint64_t chunk_count) {
   ISOBAR_ASSIGN_OR_RETURN(
-      trace_id_,
-      RunEupaPhase(options_, training_data, training_data, width_, &stats_));
-  decision_ = stats_.decision;
-  ISOBAR_ASSIGN_OR_RETURN(codec_, GetCodec(decision_.codec));
+      pipeline_.trace_id,
+      RunEupaPhase(options_, training, probe, width_, &stats_));
+  const EupaDecision& decision = stats_.decision;
+  ISOBAR_ASSIGN_OR_RETURN(pipeline_.codec, GetCodec(decision.codec));
+  pipeline_.analyzer = Analyzer(options_.analyzer);
+  pipeline_.linearization = decision.linearization;
+  pipeline_.raw_linearization =
+      container::RawSectionLinearization(options_.container_version);
+  pipeline_.width = width_;
 
   container::Header header;
   header.version = options_.container_version;
   header.width = static_cast<uint8_t>(width_);
-  header.codec = decision_.codec;
-  header.linearization = decision_.linearization;
+  header.codec = decision.codec;
+  header.linearization = decision.linearization;
   header.preference = options_.eupa.preference;
-  // Safe cast: ValidateAnalyzerOptions bounded tau to a finite [1, 256].
+  // Safe cast: ValidateOptions bounded tau to a finite [1, 256].
   header.tau_centi =
       static_cast<uint16_t>(options_.analyzer.tau * 100.0 + 0.5);
-  header.element_count = container::kUnknownCount;
+  header.element_count = element_count;
   header.chunk_elements = options_.chunk_elements;
-  header.chunk_count = container::kUnknownCount;
+  header.chunk_count = chunk_count;
   Bytes encoded;
   container::AppendHeader(header, &encoded);
   ISOBAR_RETURN_NOT_OK(sink_->Write(encoded));
@@ -65,63 +90,72 @@ Status IsobarStreamWriter::EnsurePipeline(ByteSpan training_data) {
   return Status::OK();
 }
 
-Status IsobarStreamWriter::IndexRecord(ByteSpan record) {
-  if (options_.container_version < container::kVersion) return Status::OK();
-  // The record bytes are about to leave through the sink, so the index
-  // entry is derived from the local buffer; only the record's stream
-  // position (= bytes written so far) comes from the writer's accounting.
-  ISOBAR_ASSIGN_OR_RETURN(container::IndexEntry entry,
-                          container::MakeIndexEntry(record, /*record_offset=*/0,
-                                                    elements_indexed_));
-  entry.record_offset = stats_.output_bytes;
-  elements_indexed_ += entry.element_count;
-  index_entries_.push_back(entry);
+Status IsobarStreamWriter::WriteRecord(ByteSpan record) {
+  if (options_.container_version >= container::kVersion) {
+    // The record bytes are about to leave through the sink, so the index
+    // entry is derived from the local buffer; only the record's container
+    // position (= bytes written so far) comes from the writer's accounting.
+    ISOBAR_ASSIGN_OR_RETURN(
+        container::IndexEntry entry,
+        container::MakeIndexEntry(record, /*record_offset=*/0,
+                                  elements_indexed_));
+    entry.record_offset = stats_.output_bytes;
+    elements_indexed_ += entry.element_count;
+    index_entries_.push_back(entry);
+  }
+  ISOBAR_RETURN_NOT_OK(sink_->Write(record));
+  stats_.output_bytes += record.size();
   return Status::OK();
 }
 
-Status IsobarStreamWriter::EmitChunk(ByteSpan chunk) {
-  ISOBAR_RETURN_NOT_OK(EnsurePipeline(chunk));
+Status IsobarStreamWriter::EmitChunk(ByteSpan chunk, ChunkSource source,
+                                     bool last) {
+  if (!header_written_) {
+    // A stream decides on its first chunk: the whole chunk trains EUPA and
+    // probes the analyzer.
+    ISOBAR_RETURN_NOT_OK(StartPipeline(chunk, chunk, container::kUnknownCount,
+                                       container::kUnknownCount));
+  }
   const uint64_t ordinal = chunks_emitted_++;
-  const Linearization raw_linearization =
-      container::RawSectionLinearization(options_.container_version);
-  if (num_threads_ <= 1) {
-    const Analyzer analyzer(options_.analyzer);
+  // The pool pays only when chunks overlap: a serial writer, and a last
+  // chunk with nothing in flight to overlap with, encode on this thread.
+  if (num_threads_ <= 1 || (last && in_flight_.empty())) {
     Bytes record;
-    ISOBAR_RETURN_NOT_OK(EncodeChunk(analyzer, *codec_,
-                                     decision_.linearization, chunk, width_,
-                                     &record, &stats_, trace_id_, nullptr,
-                                     &ScratchArena::ThreadLocal(), ordinal,
-                                     raw_linearization));
-    ISOBAR_RETURN_NOT_OK(IndexRecord(record));
-    ISOBAR_RETURN_NOT_OK(sink_->Write(record));
-    stats_.output_bytes += record.size();
-    return Status::OK();
+    ISOBAR_RETURN_NOT_OK(EncodeChunk(pipeline_, chunk, &record, &stats_,
+                                     nullptr, &ScratchArena::ThreadLocal(),
+                                     ordinal));
+    return WriteRecord(record);
   }
 
   // Pipelined producer/consumer: the encode runs on the pool while this
-  // thread returns to the producer. The caller's buffer is only valid for
-  // this call, so the task owns a copy of the chunk bytes. codec_,
-  // decision_, and trace_id_ are frozen by EnsurePipeline above, before
-  // any task can observe them.
+  // thread returns to the producer. A task borrows a span of WriteAll's
+  // input (alive until the call returns), takes over a full pending_
+  // buffer, and copies a span of the caller's Append buffer, which is only
+  // valid for that call. pipeline_ is frozen by StartPipeline above, before
+  // any task can observe it.
   if (pool_ == nullptr) {
     telemetry::Timeline::SetCurrentThreadName("writer");
     pool_ = std::make_unique<ThreadPool>(num_threads_);
   }
-  Bytes owned(chunk.begin(), chunk.end());
-  in_flight_.push_back(pool_->Submit(
-      [this, owned = std::move(owned), ordinal,
-       raw_linearization]() -> EncodedRecord {
-        EncodedRecord encoded;
-        const Analyzer analyzer(options_.analyzer);
-        // ThreadLocal() inside the task: each pool worker reuses its own
-        // arena across every chunk it encodes.
-        encoded.status = EncodeChunk(
-            analyzer, *codec_, decision_.linearization, owned, width_,
-            &encoded.record, &encoded.stats, trace_id_,
-            trace_id_ != 0 ? &encoded.trace : nullptr,
-            &ScratchArena::ThreadLocal(), ordinal, raw_linearization);
-        return encoded;
-      }));
+  const bool borrowed = source == ChunkSource::kWholeInput;
+  Bytes owned;
+  if (source == ChunkSource::kPending) {
+    owned = std::move(pending_);
+  } else if (source == ChunkSource::kAppendBuffer) {
+    owned.assign(chunk.begin(), chunk.end());
+  }
+  in_flight_.push_back(pool_->Submit([this, chunk, borrowed,
+                                      owned = std::move(owned),
+                                      ordinal]() -> EncodedRecord {
+    EncodedRecord encoded;
+    // ThreadLocal() inside the task: each pool worker reuses its own arena
+    // across every chunk it encodes.
+    encoded.status = EncodeChunk(
+        pipeline_, borrowed ? chunk : ByteSpan(owned), &encoded.record,
+        &encoded.stats, pipeline_.trace_id != 0 ? &encoded.trace : nullptr,
+        &ScratchArena::ThreadLocal(), ordinal);
+    return encoded;
+  }));
   if (in_flight_.size() >= 2 * num_threads_) {
     return DrainOne();
   }
@@ -134,20 +168,42 @@ Status IsobarStreamWriter::DrainOne() {
   {
     // A long wait here = the in-order writer stalled on a straggler chunk;
     // the timeline makes the stall and its chunk visible.
-    telemetry::ScopedSpan wait_span("writer.wait", trace_id_, ordinal + 1);
+    telemetry::ScopedSpan wait_span("writer.wait", pipeline_.trace_id,
+                                    ordinal + 1);
     encoded = in_flight_.front().get();
     in_flight_.pop_front();
   }
   ISOBAR_RETURN_NOT_OK(encoded.status);
-  telemetry::ScopedSpan append_span("writer.append", trace_id_, ordinal + 1);
-  ISOBAR_RETURN_NOT_OK(IndexRecord(encoded.record));
-  ISOBAR_RETURN_NOT_OK(sink_->Write(encoded.record));
-  stats_.output_bytes += encoded.record.size();
+  telemetry::ScopedSpan append_span("writer.append", pipeline_.trace_id,
+                                    ordinal + 1);
+  ISOBAR_RETURN_NOT_OK(WriteRecord(encoded.record));
   MergeChunkStats(encoded.stats, &stats_);
-  if (trace_id_ != 0) {
-    telemetry::TraceRecorder::Global().RecordChunk(trace_id_,
+  if (pipeline_.trace_id != 0) {
+    telemetry::TraceRecorder::Global().RecordChunk(pipeline_.trace_id,
                                                    std::move(encoded.trace));
   }
+  return Status::OK();
+}
+
+Status IsobarStreamWriter::Seal() {
+  while (!in_flight_.empty()) {
+    ISOBAR_RETURN_NOT_OK(Poison(DrainOne()));
+  }
+  if (pool_ != nullptr) pool_->PublishStats();
+  pool_.reset();
+  if (options_.container_version >= container::kVersion) {
+    // The chunk-index footer. Its trailer carries the element total that a
+    // streamed container's sentinel header could not, so a reader gets
+    // counted-container semantics from the footer alone.
+    Bytes footer;
+    container::AppendFooter(index_entries_, elements_indexed_, &footer);
+    ISOBAR_RETURN_NOT_OK(Poison(sink_->Write(footer)));
+    stats_.output_bytes += footer.size();
+  }
+  finished_ = true;
+  telemetry::TraceRecorder::Global().EndPipeline(
+      pipeline_.trace_id, stats_.input_bytes, stats_.output_bytes,
+      header_bytes_);
   return Status::OK();
 }
 
@@ -182,13 +238,19 @@ Status IsobarStreamWriter::Append(ByteSpan data) {
     pending_.insert(pending_.end(), data.begin(), data.begin() + take);
     consumed = take;
     if (pending_.size() == chunk_bytes) {
-      ISOBAR_RETURN_NOT_OK(Poison(EmitChunk(pending_)));
+      ISOBAR_RETURN_NOT_OK(Poison(
+          EmitChunk(pending_, ChunkSource::kPending, /*last=*/false)));
+      // A pool task may have taken the buffer over; keep the next one
+      // chunk-sized from the start.
       pending_.clear();
+      pending_.reserve(chunk_bytes);
     }
   }
-  // Emit full chunks straight from the caller's buffer (no copy).
+  // Emit full chunks straight from the caller's buffer.
   while (data.size() - consumed >= chunk_bytes) {
-    ISOBAR_RETURN_NOT_OK(Poison(EmitChunk(data.subspan(consumed, chunk_bytes))));
+    ISOBAR_RETURN_NOT_OK(Poison(EmitChunk(data.subspan(consumed, chunk_bytes),
+                                          ChunkSource::kAppendBuffer,
+                                          /*last=*/false)));
     consumed += chunk_bytes;
   }
   pending_.insert(pending_.end(), data.begin() + consumed, data.end());
@@ -209,30 +271,17 @@ Status IsobarStreamWriter::Finish() {
         "element width");
   }
   if (!pending_.empty()) {
-    ISOBAR_RETURN_NOT_OK(Poison(EmitChunk(pending_)));
+    ISOBAR_RETURN_NOT_OK(
+        Poison(EmitChunk(pending_, ChunkSource::kPending, /*last=*/true)));
     pending_.clear();
   }
-  // A stream with no data at all still needs a valid (empty) container.
-  ISOBAR_RETURN_NOT_OK(Poison(EnsurePipeline({})));
-  // Retire the pipelined tail before sealing the stream.
-  while (!in_flight_.empty()) {
-    ISOBAR_RETURN_NOT_OK(Poison(DrainOne()));
+  if (!header_written_) {
+    // A stream with no data at all still needs a valid (empty) container.
+    ISOBAR_RETURN_NOT_OK(Poison(StartPipeline(
+        {}, {}, container::kUnknownCount, container::kUnknownCount)));
   }
-  if (pool_ != nullptr) pool_->PublishStats();
-  pool_.reset();
-  if (options_.container_version >= container::kVersion) {
-    // Seal the stream with the chunk-index footer. The trailer carries the
-    // element total the sentinel header could not: a reader of the streamed
-    // container gets counted-container semantics from the footer alone.
-    Bytes footer;
-    container::AppendFooter(index_entries_, elements_indexed_, &footer);
-    ISOBAR_RETURN_NOT_OK(Poison(sink_->Write(footer)));
-    stats_.output_bytes += footer.size();
-  }
-  finished_ = true;
+  ISOBAR_RETURN_NOT_OK(Seal());
   stats_.total_seconds += timer.ElapsedSeconds();
-  telemetry::TraceRecorder::Global().EndPipeline(
-      trace_id_, stats_.input_bytes, stats_.output_bytes, header_bytes_);
   return Status::OK();
 }
 

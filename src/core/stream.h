@@ -5,7 +5,7 @@
 #include <future>
 #include <memory>
 
-#include "compressors/codec.h"
+#include "core/chunk_codec.h"
 #include "core/container.h"
 #include "core/isobar.h"
 #include "core/read_plan.h"
@@ -23,21 +23,27 @@ namespace isobar {
 /// buffered beyond one chunk (§II.D's pipelining, without a whole-dataset
 /// staging buffer).
 ///
-/// Because the element total is unknown until Finish(), the emitted
-/// container carries the kUnknownCount sentinel in its header; such
-/// containers are read by IsobarStreamReader or by
-/// IsobarCompressor::Decompress, which consume chunks to the end of the
-/// stream. The EUPA decision is made once, on the first full chunk (or on
-/// the tail data at Finish() for sub-chunk streams), mirroring the batch
-/// compressor's training-sample phase.
+/// This is the only container writer: IsobarCompressor::Compress runs on
+/// it too, handing it the whole input at once. Each entry point trains
+/// EUPA on its own window. A stream decides once, on its first full chunk
+/// (or on the tail data at Finish() for sub-chunk streams), and its
+/// header carries the kUnknownCount sentinel because the element total is
+/// unknown until Finish(); such containers are read by IsobarStreamReader
+/// or by IsobarCompressor::Decompress, which consume chunks to the end of
+/// the stream. A batch call trains on the whole input, probes the
+/// analyzer on its first sample_elements elements, and writes counted
+/// totals. Past the header, a stream and a batch call that reach the same
+/// decision write the same bytes.
 ///
 /// With CompressOptions::num_threads resolving above 1, the writer runs a
 /// pipelined producer/consumer: Append() hands full chunks to a work pool
 /// and returns while they encode, and completed records are written to the
 /// sink in chunk order as the (bounded) in-flight window fills — so the
 /// emitted container is byte-identical to the serial writer's. At most
-/// 2 x threads chunks are in flight; the writer is not itself thread-safe
-/// (one producer thread drives Append/Finish).
+/// 2 x threads chunks are in flight; a container's last chunk encodes
+/// inline when nothing is in flight, so a one-chunk container never
+/// starts the pool. The writer is not itself thread-safe (one producer
+/// thread drives Append/Finish).
 class IsobarStreamWriter {
  public:
   /// `sink` must outlive the writer.
@@ -63,9 +69,20 @@ class IsobarStreamWriter {
 
   /// Telemetry pipeline-trace id of this stream (0 when tracing was off
   /// at pipeline start).
-  uint64_t trace_id() const { return trace_id_; }
+  uint64_t trace_id() const { return pipeline_.trace_id; }
 
  private:
+  // Compress is the writer's batch entry point (WriteAll below).
+  friend class IsobarCompressor;
+
+  /// How a chunk reaches EmitChunk, which decides from it whether a pool
+  /// task must own the chunk's bytes.
+  enum class ChunkSource : uint8_t {
+    kWholeInput,    ///< Span of WriteAll's input: borrowed for the call.
+    kPending,       ///< The full pending_ buffer: moved into the task.
+    kAppendBuffer,  ///< Span of the caller's Append buffer: copied.
+  };
+
   /// One chunk's encode result, produced on a pool worker and written to
   /// the sink by the producer thread in FIFO (= chunk) order.
   struct EncodedRecord {
@@ -75,12 +92,34 @@ class IsobarStreamWriter {
     telemetry::ChunkTrace trace;
   };
 
-  Status EnsurePipeline(ByteSpan training_data);
-  /// Appends `record`'s index entry (v2 containers) before it is sunk.
-  Status IndexRecord(ByteSpan record);
-  Status EmitChunk(ByteSpan chunk);
+  /// Rejects options no container can be written with: a width outside
+  /// [1, 64], zero chunk_elements, an unsupported container_version, or
+  /// an analyzer tau outside [1, 256].
+  static Status ValidateOptions(const CompressOptions& options, size_t width);
+
+  /// The batch entry point: writes `data` (a whole number of elements) as
+  /// one sealed container with counted totals. EUPA trains on all of
+  /// `data` and probes the analyzer on its first sample_elements
+  /// elements; chunks are encoded from spans borrowed from `data`, which
+  /// must stay alive until the call returns.
+  Status WriteAll(ByteSpan data);
+
+  /// Runs the EUPA phase on `training` (analyzer probe `probe`), fixes
+  /// pipeline_, and writes the header declaring `element_count` and
+  /// `chunk_count` (kUnknownCount when the writer cannot know them).
+  Status StartPipeline(ByteSpan training, ByteSpan probe,
+                       uint64_t element_count, uint64_t chunk_count);
+  /// Encodes `chunk` inline when the writer is serial or when it is the
+  /// container's `last` chunk and nothing is in flight; otherwise submits
+  /// it to the pool, owning its bytes as `source` requires.
+  Status EmitChunk(ByteSpan chunk, ChunkSource source, bool last);
+  /// Sinks one encoded record, indexing it first (v2 containers).
+  Status WriteRecord(ByteSpan record);
   /// Waits for the oldest in-flight chunk and writes it out.
   Status DrainOne();
+  /// Retires the in-flight chunks, appends the v2 footer, and ends the
+  /// pipeline trace.
+  Status Seal();
   /// Latches the first emit/drain failure: once a record has been dropped
   /// the container has a hole, so every later Append/Finish must keep
   /// failing instead of silently writing the chunks that followed it.
@@ -93,19 +132,15 @@ class IsobarStreamWriter {
   Status error_status_;
 
   // v2 chunk-index footer under construction: one entry per record retired
-  // to the sink, appended by Finish(). Derived from the same record bytes
-  // the batch compressor indexes, so batch and streamed containers of the
-  // same input carry byte-identical footers.
+  // to the sink, appended when the container is sealed.
   std::vector<container::IndexEntry> index_entries_;
   uint64_t elements_indexed_ = 0;
 
   Bytes pending_;
   bool header_written_ = false;
   bool finished_ = false;
-  const Codec* codec_ = nullptr;
-  EupaDecision decision_;
+  ChunkPipeline pipeline_;
   CompressionStats stats_;
-  uint64_t trace_id_ = 0;
   uint64_t header_bytes_ = 0;
   // Chunk ordinals for timeline tagging: chunks submitted to the pipeline
   // and chunks retired to the sink (the writer side of the same stream).

@@ -21,7 +21,15 @@ Bytes MixedChunk(size_t n, uint64_t seed) {
   return data;
 }
 
-const Codec& Zlib() { return **GetCodec(CodecId::kZlib); }
+// A zlib pipeline over width-4 elements in `lin`, raw sections row-major
+// as in the v1 containers Frame() builds.
+ChunkPipeline Zlib(Linearization lin) {
+  ChunkPipeline pipeline;
+  pipeline.codec = *GetCodec(CodecId::kZlib);
+  pipeline.linearization = lin;
+  pipeline.width = 4;
+  return pipeline;
+}
 
 // Frames encoded `records` as a v1 container whose header declares
 // `codec`, `lin` and the given geometry (kUnknownCount totals make it a
@@ -58,12 +66,10 @@ Status DecodeRecord(const Bytes& container, uint64_t i, Bytes* out) {
 
 TEST(ChunkCodecTest, EncodeDecodeRoundTrip) {
   const Bytes chunk = MixedChunk(50000, 1);
-  const Analyzer analyzer;
   Bytes record;
   CompressionStats stats;
-  ASSERT_TRUE(EncodeChunk(analyzer, Zlib(), Linearization::kRow, chunk, 4,
-                          &record, &stats)
-                  .ok());
+  ASSERT_TRUE(
+      EncodeChunk(Zlib(Linearization::kRow), chunk, &record, &stats).ok());
   EXPECT_EQ(stats.chunk_count, 1u);
   EXPECT_EQ(stats.improvable_chunks, 1u);
   EXPECT_NEAR(stats.mean_htc_fraction, 0.5, 1e-9);
@@ -85,16 +91,15 @@ TEST(ChunkCodecTest, EncodeDecodeRoundTrip) {
 }
 
 TEST(ChunkCodecTest, StatsAccumulateAcrossChunks) {
-  const Analyzer analyzer;
   CompressionStats stats;
   Bytes record;
   // One improvable chunk (htc 0.5) and one undetermined (htc 0 with an
   // all-compressible verdict -> constant data).
-  ASSERT_TRUE(EncodeChunk(analyzer, Zlib(), Linearization::kRow,
-                          MixedChunk(20000, 2), 4, &record, &stats)
+  ASSERT_TRUE(EncodeChunk(Zlib(Linearization::kRow), MixedChunk(20000, 2),
+                          &record, &stats)
                   .ok());
-  ASSERT_TRUE(EncodeChunk(analyzer, Zlib(), Linearization::kRow,
-                          Bytes(20000 * 4, 0x11), 4, &record, &stats)
+  ASSERT_TRUE(EncodeChunk(Zlib(Linearization::kRow), Bytes(20000 * 4, 0x11),
+                          &record, &stats)
                   .ok());
   EXPECT_EQ(stats.chunk_count, 2u);
   EXPECT_EQ(stats.improvable_chunks, 1u);
@@ -105,24 +110,22 @@ TEST(ChunkCodecTest, StatsAccumulateAcrossChunks) {
 }
 
 TEST(ChunkCodecTest, NullStatsAccepted) {
-  const Analyzer analyzer;
   Bytes record;
-  ASSERT_TRUE(EncodeChunk(analyzer, Zlib(), Linearization::kColumn,
-                          MixedChunk(5000, 3), 4, &record, nullptr)
+  ASSERT_TRUE(EncodeChunk(Zlib(Linearization::kColumn), MixedChunk(5000, 3),
+                          &record, nullptr)
                   .ok());
 }
 
 TEST(ChunkCodecTest, SequentialRecordsDecodeInOrder) {
-  const Analyzer analyzer;
   const Bytes chunk_a = MixedChunk(10000, 4);
   const Bytes chunk_b = MixedChunk(7000, 5);
   Bytes records;
-  ASSERT_TRUE(EncodeChunk(analyzer, Zlib(), Linearization::kColumn, chunk_a,
-                          4, &records, nullptr)
-                  .ok());
-  ASSERT_TRUE(EncodeChunk(analyzer, Zlib(), Linearization::kColumn, chunk_b,
-                          4, &records, nullptr)
-                  .ok());
+  ASSERT_TRUE(
+      EncodeChunk(Zlib(Linearization::kColumn), chunk_a, &records, nullptr)
+          .ok());
+  ASSERT_TRUE(
+      EncodeChunk(Zlib(Linearization::kColumn), chunk_b, &records, nullptr)
+          .ok());
 
   const Bytes container = Frame(records, CodecId::kZlib,
                                 Linearization::kColumn, 10000, 17000, 2);
@@ -135,12 +138,10 @@ TEST(ChunkCodecTest, SequentialRecordsDecodeInOrder) {
 }
 
 TEST(ChunkCodecTest, ElementCountAboveBoundRejected) {
-  const Analyzer analyzer;
   const Bytes chunk = MixedChunk(10000, 6);
   Bytes record;
-  ASSERT_TRUE(EncodeChunk(analyzer, Zlib(), Linearization::kRow, chunk, 4,
-                          &record, nullptr)
-                  .ok());
+  ASSERT_TRUE(
+      EncodeChunk(Zlib(Linearization::kRow), chunk, &record, nullptr).ok());
   // A chunk size of 9999 bounds even the last record of a container
   // without totals.
   const Bytes container =
@@ -153,12 +154,10 @@ TEST(ChunkCodecTest, ElementCountAboveBoundRejected) {
 TEST(ChunkCodecTest, WrongLinearizationFailsChecksum) {
   // Decoding with the wrong linearization scatters bytes to the wrong
   // positions; the chunk CRC must catch it.
-  const Analyzer analyzer;
   const Bytes chunk = MixedChunk(20000, 7);
   Bytes record;
-  ASSERT_TRUE(EncodeChunk(analyzer, Zlib(), Linearization::kColumn, chunk, 4,
-                          &record, nullptr)
-                  .ok());
+  ASSERT_TRUE(
+      EncodeChunk(Zlib(Linearization::kColumn), chunk, &record, nullptr).ok());
   const Bytes container = Frame(record, CodecId::kZlib, Linearization::kRow,
                                 20000, 20000, 1);
   Bytes out;
@@ -196,12 +195,10 @@ TEST(ChunkCodecTest, MergeChunkStatsWeightsByChunkCount) {
 }
 
 TEST(ChunkCodecTest, WrongCodecFailsCleanly) {
-  const Analyzer analyzer;
   const Bytes chunk = MixedChunk(20000, 8);
   Bytes record;
-  ASSERT_TRUE(EncodeChunk(analyzer, Zlib(), Linearization::kRow, chunk, 4,
-                          &record, nullptr)
-                  .ok());
+  ASSERT_TRUE(
+      EncodeChunk(Zlib(Linearization::kRow), chunk, &record, nullptr).ok());
   const Bytes container = Frame(record, CodecId::kBzip2, Linearization::kRow,
                                 20000, 20000, 1);
   Bytes out;

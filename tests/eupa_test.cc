@@ -38,8 +38,7 @@ TEST(EupaTest, DeterministicAcrossRuns) {
 }
 
 TEST(EupaTest, EvaluatesAllCandidateCombinations) {
-  // kRatio: every (codec × linearization) candidate is accounted for,
-  // either measured by a trial or pruned by the estimator gate.
+  // kRatio trials every (codec × linearization) candidate.
   const Bytes data = NoisyStructured(100000, 2);
   EupaOptions options;
   options.preference = Preference::kRatio;
@@ -49,14 +48,9 @@ TEST(EupaTest, EvaluatesAllCandidateCombinations) {
   // 3 default codecs × 2 linearizations.
   EXPECT_EQ(decision->evaluations.size(), 6u);
   for (const auto& eval : decision->evaluations) {
-    EXPECT_GT(eval.predicted_ratio, 0.0);
-    if (eval.pruned) {
-      EXPECT_DOUBLE_EQ(eval.ratio, 0.0);
-      EXPECT_DOUBLE_EQ(eval.throughput_mbps, 0.0);
-    } else {
-      EXPECT_GT(eval.ratio, 0.0);
-      EXPECT_GT(eval.throughput_mbps, 0.0);
-    }
+    EXPECT_FALSE(eval.pruned);
+    EXPECT_GT(eval.ratio, 0.0);
+    EXPECT_GT(eval.throughput_mbps, 0.0);
   }
 }
 
@@ -188,7 +182,7 @@ TEST(EupaTest, RejectsZeroSampleBudget) {
   EXPECT_FALSE(EupaSelector(options).Select(data, 8, 0xFF).ok());
 }
 
-// Candidate list covering every solver the estimator models.
+// Candidate list covering every solver.
 std::vector<CodecId> AllSolvers() {
   return {CodecId::kZlib,    CodecId::kBzip2, CodecId::kRle,
           CodecId::kLzss,    CodecId::kHuffman, CodecId::kBwt,
@@ -196,144 +190,21 @@ std::vector<CodecId> AllSolvers() {
 }
 
 EupaDecision SelectOrDie(const Bytes& data, size_t width, uint64_t mask,
-                         Preference pref, double margin,
-                         std::vector<CodecId> codecs) {
+                         Preference pref, std::vector<CodecId> codecs) {
   EupaOptions options;
   options.preference = pref;
-  options.prune_margin = margin;
   options.candidate_codecs = std::move(codecs);
   auto decision = EupaSelector(options).Select(data, width, mask);
   EXPECT_TRUE(decision.ok()) << decision.status().message();
   return *decision;
 }
 
-// What the gate is checked under: kRatio over every solver, and kSpeed
-// over every solver and over the default set, where its decision is lzans
-// row against lzans column.
-struct GateCase {
-  Preference pref;
-  std::vector<CodecId> codecs;
-};
-std::vector<GateCase> GateCases() {
-  return {{Preference::kRatio, AllSolvers()},
-          {Preference::kSpeed, AllSolvers()},
-          {Preference::kSpeed, EupaOptions{}.candidate_codecs}};
-}
-
-// The gate must never flip a selection: compression ratios are
-// bit-deterministic, so gated and exhaustive runs must land on the same
-// (codec, linearization) on any input — including adversarial ones aimed
-// at each individual signal — under either preference. Under kSpeed the
-// gate acts inside a speed tier, where pruning the one layout that meets
-// the floor would send the walk on to a slower codec.
-TEST(EupaTest, GateMatchesExhaustiveOnAdversarialInputs) {
-  std::vector<std::pair<Bytes, size_t>> inputs;
-  // All noise: every predictor near 1, nothing clearly wins.
-  Bytes noise;
-  Xoshiro256 rng(42);
-  for (size_t i = 0; i < 131072; ++i) {
-    noise.push_back(static_cast<uint8_t>(rng.Next()));
-  }
-  inputs.emplace_back(std::move(noise), 8);
-  // All constant: the single-symbol entropy special case.
-  inputs.emplace_back(Bytes(131072, 0x55), 8);
-  // Alternating columns: row and column layouts diverge maximally.
-  Bytes alternating;
-  for (size_t i = 0; i < 65536; ++i) {
-    alternating.push_back(0x01);
-    alternating.push_back(0x02);
-  }
-  inputs.emplace_back(std::move(alternating), 2);
-
-  for (const auto& [data, width] : inputs) {
-    const uint64_t mask = width == 2 ? 0b11 : 0xFF;
-    for (const auto& [pref, codecs] : GateCases()) {
-      SCOPED_TRACE(testing::Message()
-                   << PreferenceToString(pref) << ", " << codecs.size()
-                   << " codecs, width " << width);
-      const EupaDecision exhaustive =
-          SelectOrDie(data, width, mask, pref, 0.0, codecs);
-      const EupaDecision gated =
-          SelectOrDie(data, width, mask, pref, 0.25, codecs);
-      EXPECT_EQ(gated.codec, exhaustive.codec);
-      EXPECT_EQ(gated.linearization, exhaustive.linearization);
-      // Exhaustive mode leaves the estimator fields untouched; only
-      // kSpeed's walk prunes (the tiers after the one that met the floor).
-      for (const auto& eval : exhaustive.evaluations) {
-        if (pref == Preference::kRatio) {
-          EXPECT_FALSE(eval.pruned);
-        }
-        EXPECT_DOUBLE_EQ(eval.predicted_ratio, 0.0);
-      }
-      // Gated mode predicts every candidate and measures the survivors
-      // identically to the exhaustive run.
-      for (size_t i = 0; i < gated.evaluations.size(); ++i) {
-        EXPECT_GT(gated.evaluations[i].predicted_ratio, 0.0);
-        if (!gated.evaluations[i].pruned) {
-          EXPECT_FALSE(exhaustive.evaluations[i].pruned);
-          EXPECT_DOUBLE_EQ(gated.evaluations[i].ratio,
-                           exhaustive.evaluations[i].ratio);
-        }
-      }
-    }
-  }
-}
-
-TEST(EupaTest, GateMatchesExhaustiveAcrossDatasetProfiles) {
-  for (const DatasetSpec& spec : AllDatasetSpecs()) {
-    auto dataset = GenerateDataset(spec, 40000);
-    ASSERT_TRUE(dataset.ok()) << spec.name;
-    const uint64_t mask = (uint64_t{1} << dataset->width()) - 1;
-    for (const auto& [pref, codecs] : GateCases()) {
-      SCOPED_TRACE(testing::Message()
-                   << spec.name << ", " << PreferenceToString(pref) << ", "
-                   << codecs.size() << " codecs");
-      const EupaDecision exhaustive = SelectOrDie(
-          dataset->data, dataset->width(), mask, pref, 0.0, codecs);
-      const EupaDecision gated = SelectOrDie(
-          dataset->data, dataset->width(), mask, pref, 0.25, codecs);
-      EXPECT_EQ(gated.codec, exhaustive.codec);
-      EXPECT_EQ(gated.linearization, exhaustive.linearization);
-    }
-  }
-}
-
-TEST(EupaTest, GatePrunesTrialsOnMixedWorkload) {
-  // Structured columns under a ratio preference: once a strong candidate
-  // is measured, weak predictors (RLE/Huffman on noisy layouts) must be
-  // pruned without a trial, and the counters must record the split.
-  const Bytes data = NoisyStructured(100000, 10);
-  telemetry::SetEnabled(true);
-  telemetry::Counter& run = telemetry::GetCounter("eupa.trials_run");
-  telemetry::Counter& pruned = telemetry::GetCounter("eupa.trials_pruned");
-  const uint64_t run_before = run.value();
-  const uint64_t pruned_before = pruned.value();
-  const EupaDecision gated =
-      SelectOrDie(data, 8, 0xC0, Preference::kRatio, 0.25, AllSolvers());
-  telemetry::SetEnabled(false);
-
-  size_t pruned_evals = 0;
-  for (const auto& eval : gated.evaluations) pruned_evals += eval.pruned ? 1 : 0;
-  EXPECT_GT(pruned_evals, 0u);
-  EXPECT_LT(pruned_evals, gated.evaluations.size());
-  if (telemetry::kCompiledIn) {  // counters are inert with telemetry off
-    EXPECT_EQ(pruned.value() - pruned_before, pruned_evals);
-    EXPECT_EQ(run.value() - run_before,
-              gated.evaluations.size() - pruned_evals);
-  }
-
-  // And the saved trials must not change the outcome.
-  const EupaDecision exhaustive =
-      SelectOrDie(data, 8, 0xC0, Preference::kRatio, 0.0, AllSolvers());
-  EXPECT_EQ(gated.codec, exhaustive.codec);
-  EXPECT_EQ(gated.linearization, exhaustive.linearization);
-}
-
 TEST(EupaTest, SpeedPreferenceTrialsOnlyTopRankedCodecAtDefaultFloor) {
   // At the default min_ratio of 1.0 the fastest-ranked candidate codec
   // reaches the floor on structured data, so the speed walk stops there:
   // exactly its linearizations are measured and every slower candidate is
-  // pruned untrialed — whatever order the candidate list gives.
+  // pruned untrialed — whatever order the candidate list gives — and the
+  // counters record the split.
   const Bytes data = NoisyStructured(100000, 11);
   const struct {
     std::vector<CodecId> codecs;
@@ -342,12 +213,19 @@ TEST(EupaTest, SpeedPreferenceTrialsOnlyTopRankedCodecAtDefaultFloor) {
       {{CodecId::kZlib, CodecId::kBzip2, CodecId::kLzans}, CodecId::kLzans},
       {AllSolvers(), CodecId::kHuffman},
   };
+  telemetry::SetEnabled(true);
+  telemetry::Counter& run = telemetry::GetCounter("eupa.trials_run");
+  telemetry::Counter& pruned = telemetry::GetCounter("eupa.trials_pruned");
   for (const auto& c : cases) {
+    const uint64_t run_before = run.value();
+    const uint64_t pruned_before = pruned.value();
     const EupaDecision decision =
-        SelectOrDie(data, 8, 0xC0, Preference::kSpeed, 0.25, c.codecs);
+        SelectOrDie(data, 8, 0xC0, Preference::kSpeed, c.codecs);
     EXPECT_EQ(decision.codec, c.top);
     EXPECT_EQ(decision.evaluations.size(), 2 * c.codecs.size());
+    size_t pruned_evals = 0;
     for (const auto& eval : decision.evaluations) {
+      pruned_evals += eval.pruned ? 1 : 0;
       if (eval.codec == c.top) {
         EXPECT_FALSE(eval.pruned) << CodecIdToString(eval.codec);
         EXPECT_GE(eval.ratio, 1.0);
@@ -356,7 +234,13 @@ TEST(EupaTest, SpeedPreferenceTrialsOnlyTopRankedCodecAtDefaultFloor) {
         EXPECT_DOUBLE_EQ(eval.ratio, 0.0);
       }
     }
+    if (telemetry::kCompiledIn) {  // counters are inert with telemetry off
+      EXPECT_EQ(pruned.value() - pruned_before, pruned_evals);
+      EXPECT_EQ(run.value() - run_before,
+                decision.evaluations.size() - pruned_evals);
+    }
   }
+  telemetry::SetEnabled(false);
 }
 
 TEST(EupaTest, SpeedWalkMovesDownTheRankBelowTheFloor) {
@@ -365,7 +249,7 @@ TEST(EupaTest, SpeedWalkMovesDownTheRankBelowTheFloor) {
   const Bytes data = NoisyStructured(100000, 12);
   const std::vector<CodecId> codecs = {CodecId::kZlib, CodecId::kRle};
   const EupaDecision exhaustive =
-      SelectOrDie(data, 8, 0xC0, Preference::kRatio, 0.0, codecs);
+      SelectOrDie(data, 8, 0xC0, Preference::kRatio, codecs);
   double best_rle = 0.0;
   double best_zlib = 0.0;
   for (const auto& eval : exhaustive.evaluations) {

@@ -240,32 +240,5 @@ TEST(IntegrationTest, BothPreferencesProduceIdenticalPlaintext) {
   }
 }
 
-// The estimator gate only skips trials whose outcome could not matter,
-// so the container a ratio-preference pipeline produces must be
-// byte-identical with the gate on (default margin) and off (exhaustive
-// trials) — across structured, noisy, and mixed profiles.
-TEST(IntegrationTest, ContainerBytesIdenticalWithAndWithoutEupaPruning) {
-  for (const char* profile : {"msg_sppm", "gts_chkp_zeon", "gts_phi_l"}) {
-    auto dataset = Generate(profile, 200000);
-    ASSERT_TRUE(dataset.ok()) << profile;
-    Bytes gated, exhaustive;
-    for (double margin : {0.25, 0.0}) {
-      CompressOptions options;
-      options.eupa.preference = Preference::kRatio;
-      options.eupa.prune_margin = margin;
-      options.num_threads = 1;
-      const IsobarCompressor compressor(options);
-      auto compressed =
-          compressor.Compress(dataset->bytes(), dataset->width());
-      ASSERT_TRUE(compressed.ok()) << profile;
-      (margin > 0.0 ? gated : exhaustive) = std::move(*compressed);
-    }
-    EXPECT_EQ(gated, exhaustive) << profile;
-    auto restored = IsobarCompressor::Decompress(gated);
-    ASSERT_TRUE(restored.ok()) << profile;
-    EXPECT_EQ(*restored, dataset->data) << profile;
-  }
-}
-
 }  // namespace
 }  // namespace isobar

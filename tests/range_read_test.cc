@@ -461,6 +461,24 @@ TEST(FooterIdentityTest, StreamedFooterMatchesBatchFooter) {
   ASSERT_EQ(batch.size(), streamed.size());
   EXPECT_TRUE(std::equal(batch.begin() + container::kHeaderSize, batch.end(),
                          streamed.begin() + container::kHeaderSize));
+
+  // That one footer validates against either header and indexes every
+  // chunk; for the stream it is the only place the element total lives.
+  const Bytes* containers[] = {&batch, &streamed};
+  for (const Bytes* container : containers) {
+    size_t offset = 0;
+    auto header = container::ParseHeader(*container, &offset);
+    ASSERT_TRUE(header.ok()) << header.status().ToString();
+    auto index = container::ParseFooter(*container, *header);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    EXPECT_EQ(index->element_count, kTotalElements);
+    ASSERT_EQ(index->entries.size(), 4u);
+    for (size_t i = 0; i < index->entries.size(); ++i) {
+      EXPECT_EQ(index->entries[i].element_offset, i * kChunkElements);
+    }
+    EXPECT_EQ(index->entries.back().element_count,
+              kTotalElements - 3 * kChunkElements);
+  }
 }
 
 }  // namespace

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <vector>
 
+#include "core/container.h"
 #include "core/isobar.h"
 #include "core/stream.h"
 #include "datagen/registry.h"
 #include "io/sink.h"
+#include "telemetry/metrics.h"
 #include "util/random.h"
 
 namespace isobar {
@@ -26,30 +31,217 @@ CompressOptions SmallChunkOptions() {
 }
 
 TEST(StreamWriterTest, MatchesBatchCompressorByteForByte) {
-  // With a fully forced pipeline the batch and streaming paths must make
-  // identical per-chunk decisions; only the header count fields differ.
-  const Dataset dataset = HardDataset(65000);
+  // With a fully forced pipeline the batch and streaming entry points make
+  // identical per-chunk decisions: every byte past the header (records
+  // and, in v2, the index footer) is the same, and the headers differ only
+  // in the totals, which the stream leaves as sentinels.
+  const struct {
+    const char* profile;
+    uint64_t elements;
+    uint64_t chunk_elements;
+    Linearization linearization;
+    uint32_t num_threads;
+    uint16_t container_version;
+  } cases[] = {
+      {"gts_phi_l", 65000, 20000, Linearization::kRow, 0, container::kVersion},
+      {"s3d_vmag", 35000, 10000, Linearization::kColumn, 1,
+       container::kVersion},
+      {"gts_phi_l", 65000, 20000, Linearization::kRow, 0,
+       container::kVersionV1},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.profile << " v" << c.container_version
+                                    << " threads " << c.num_threads);
+    const Dataset dataset = HardDataset(c.elements, c.profile);
+    CompressOptions options;
+    options.chunk_elements = c.chunk_elements;
+    options.eupa.forced_codec = CodecId::kZlib;
+    options.eupa.forced_linearization = c.linearization;
+    options.num_threads = c.num_threads;
+    options.container_version = c.container_version;
+
+    auto batch = IsobarCompressor(options).Compress(dataset.bytes(),
+                                                    dataset.width());
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    Bytes streamed;
+    MemorySink sink(&streamed);
+    IsobarStreamWriter writer(options, dataset.width(), &sink);
+    ASSERT_TRUE(writer.Append(dataset.bytes()).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+
+    ASSERT_EQ(streamed.size(), batch->size());
+    EXPECT_TRUE(std::equal(streamed.begin() + container::kHeaderSize,
+                           streamed.end(),
+                           batch->begin() + container::kHeaderSize));
+
+    size_t offset = 0;
+    auto batch_header = container::ParseHeader(*batch, &offset);
+    ASSERT_TRUE(batch_header.ok()) << batch_header.status().ToString();
+    offset = 0;
+    auto stream_header = container::ParseHeader(streamed, &offset);
+    ASSERT_TRUE(stream_header.ok()) << stream_header.status().ToString();
+    EXPECT_EQ(batch_header->element_count, c.elements);
+    EXPECT_EQ(batch_header->chunk_count,
+              (c.elements + c.chunk_elements - 1) / c.chunk_elements);
+    EXPECT_EQ(stream_header->element_count, container::kUnknownCount);
+    EXPECT_EQ(stream_header->chunk_count, container::kUnknownCount);
+    // With the sentinels swapped in, the batch header serializes to the
+    // stream's header bytes: no other field differs.
+    container::Header expected = *batch_header;
+    expected.element_count = container::kUnknownCount;
+    expected.chunk_count = container::kUnknownCount;
+    Bytes expected_bytes;
+    container::AppendHeader(expected, &expected_bytes);
+    EXPECT_TRUE(std::equal(expected_bytes.begin(), expected_bytes.end(),
+                           streamed.begin()));
+  }
+}
+
+TEST(StreamWriterTest, PooledAppendCopiesCallerBuffer) {
+  // A pooled chunk may still be encoding after Append returns, so the task
+  // must own a copy of the caller's bytes: here every chunk comes from one
+  // reused buffer that is overwritten right after each Append, and once
+  // more before Finish, while the tail still sits in the writer.
   CompressOptions options = SmallChunkOptions();
-  options.eupa.forced_codec = CodecId::kZlib;
-  options.eupa.forced_linearization = Linearization::kRow;
+  options.chunk_elements = 2000;
+  const size_t chunk_bytes = options.chunk_elements * 8;
+  const Dataset dataset = HardDataset(12 * 2000 + 700);
 
-  const IsobarCompressor batch(options);
-  auto batch_out = batch.Compress(dataset.bytes(), 8);
-  ASSERT_TRUE(batch_out.ok());
+  Bytes reference;
+  MemorySink reference_sink(&reference);
+  options.num_threads = 1;
+  IsobarStreamWriter serial(options, 8, &reference_sink);
+  ASSERT_TRUE(serial.Append(dataset.bytes()).ok());
+  ASSERT_TRUE(serial.Finish().ok());
 
+  Bytes pooled;
+  MemorySink pooled_sink(&pooled);
+  options.num_threads = 4;
+  IsobarStreamWriter writer(options, 8, &pooled_sink);
+  Bytes buffer;
+  for (size_t offset = 0; offset < dataset.data.size();
+       offset += chunk_bytes) {
+    const size_t n = std::min(chunk_bytes, dataset.data.size() - offset);
+    buffer.assign(dataset.data.begin() + offset,
+                  dataset.data.begin() + offset + n);
+    ASSERT_TRUE(writer.Append(buffer).ok());
+    std::fill(buffer.begin(), buffer.end(), 0xA5);
+  }
+  std::fill(buffer.begin(), buffer.end(), 0x5A);
+  ASSERT_TRUE(writer.Finish().ok());
+  EXPECT_EQ(pooled, reference);
+}
+
+TEST(StreamWriterTest, OneChunkContainersDoNotStartThePool) {
+  // A container's last chunk encodes inline when nothing is in flight, so
+  // neither a one-chunk batch call nor a sub-chunk stream submits a pool
+  // task, whatever the thread count.
+  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  telemetry::SetEnabled(true);
+  telemetry::Counter& submitted = telemetry::GetCounter("pool.tasks_submitted");
+  CompressOptions options = SmallChunkOptions();
+  options.num_threads = 4;
+  const IsobarCompressor compressor(options);
+
+  const Dataset one_chunk = HardDataset(5000);
+  uint64_t before = submitted.value();
+  ASSERT_TRUE(compressor.Compress(one_chunk.bytes(), 8).ok());
+  EXPECT_EQ(submitted.value(), before) << "one-chunk Compress";
+
+  before = submitted.value();
   Bytes stream_out;
   MemorySink sink(&stream_out);
   IsobarStreamWriter writer(options, 8, &sink);
-  ASSERT_TRUE(writer.Append(dataset.bytes()).ok());
+  ASSERT_TRUE(writer.Append(one_chunk.bytes()).ok());
   ASSERT_TRUE(writer.Finish().ok());
+  EXPECT_EQ(submitted.value(), before) << "sub-chunk stream";
 
-  ASSERT_EQ(stream_out.size(), batch_out->size());
-  // Bytes past the header are identical; the header differs only in the
-  // element/chunk count fields (16..31 and 32..39), which the stream
-  // leaves as sentinels.
-  EXPECT_TRUE(std::equal(stream_out.begin() + container::kHeaderSize,
-                         stream_out.end(),
-                         batch_out->begin() + container::kHeaderSize));
+  // The counter does move when chunks can overlap: three chunks, three
+  // tasks.
+  const Dataset three_chunks = HardDataset(60000);
+  before = submitted.value();
+  ASSERT_TRUE(compressor.Compress(three_chunks.bytes(), 8).ok());
+  EXPECT_EQ(submitted.value() - before, 3u) << "three-chunk Compress";
+  telemetry::SetEnabled(false);
+}
+
+TEST(StreamWriterTest, RejectsTheOptionsCompressRejects) {
+  // One validation serves both entry points: whatever Compress refuses,
+  // the writer refuses from its first call with the same status, before
+  // a byte reaches the sink.
+  struct Case {
+    const char* what;
+    size_t width;
+    CompressOptions options;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"width 0", 0, CompressOptions{}});
+  cases.push_back({"width 65", 65, CompressOptions{}});
+  cases.push_back({"chunk_elements 0", 8, CompressOptions{}});
+  cases.back().options.chunk_elements = 0;
+  cases.push_back({"container_version 0", 8, CompressOptions{}});
+  cases.back().options.container_version = 0;
+  cases.push_back({"container_version past kVersion", 8, CompressOptions{}});
+  cases.back().options.container_version = container::kVersion + 1;
+  cases.push_back({"tau 0.5", 8, CompressOptions{}});
+  cases.back().options.analyzer.tau = 0.5;
+  cases.push_back({"tau NaN", 8, CompressOptions{}});
+  cases.back().options.analyzer.tau = std::numeric_limits<double>::quiet_NaN();
+
+  const Bytes data(800, 0x42);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    auto batch = IsobarCompressor(c.options).Compress(data, c.width);
+    ASSERT_FALSE(batch.ok());
+    EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
+
+    Bytes streamed;
+    MemorySink sink(&streamed);
+    IsobarStreamWriter writer(c.options, c.width, &sink);
+    const Status appended = writer.Append(data);
+    EXPECT_EQ(appended.code(), batch.status().code());
+    EXPECT_EQ(appended.message(), batch.status().message());
+    EXPECT_FALSE(writer.Finish().ok());
+    EXPECT_TRUE(streamed.empty());
+  }
+}
+
+TEST(StreamWriterTest, StatsMatchBatchCompressor) {
+  // Both entry points account through the one writer. With a forced
+  // pipeline their training windows cannot decide differently, so every
+  // non-timing CompressionStats field agrees, serial and pooled.
+  const Dataset dataset = HardDataset(65000);
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    CompressOptions options = SmallChunkOptions();
+    options.eupa.forced_codec = CodecId::kZlib;
+    options.eupa.forced_linearization = Linearization::kColumn;
+    options.num_threads = threads;
+
+    CompressionStats batch;
+    auto compressed =
+        IsobarCompressor(options).Compress(dataset.bytes(), 8, &batch);
+    ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+    Bytes streamed;
+    MemorySink sink(&streamed);
+    IsobarStreamWriter writer(options, 8, &sink);
+    ASSERT_TRUE(writer.Append(dataset.bytes()).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+    const CompressionStats& stream = writer.stats();
+
+    EXPECT_EQ(batch.input_bytes, dataset.data.size());
+    EXPECT_EQ(batch.output_bytes, compressed->size());
+    EXPECT_EQ(batch.chunk_count, 4u);
+    EXPECT_EQ(stream.input_bytes, batch.input_bytes);
+    EXPECT_EQ(stream.output_bytes, streamed.size());
+    EXPECT_EQ(stream.output_bytes, batch.output_bytes);
+    EXPECT_EQ(stream.chunk_count, batch.chunk_count);
+    EXPECT_EQ(stream.improvable_chunks, batch.improvable_chunks);
+    EXPECT_EQ(stream.improvable, batch.improvable);
+    EXPECT_EQ(stream.mean_htc_fraction, batch.mean_htc_fraction);
+    EXPECT_EQ(stream.decision.codec, batch.decision.codec);
+    EXPECT_EQ(stream.decision.linearization, batch.decision.linearization);
+  }
 }
 
 TEST(StreamWriterTest, StreamedContainerDecompresses) {
