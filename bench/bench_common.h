@@ -16,8 +16,9 @@ namespace isobar::bench {
 ///
 ///   --mb=<float>            synthetic data per dataset in MB (default 2.0)
 ///   --steps=<int>           time steps for the consistency study (default 20)
-///   --telemetry-json=<path> enable telemetry + tracing for the whole run
-///                           and dump the combined report at exit
+///   --telemetry-json=<path> enable telemetry, tracing and the timeline for
+///                           the whole run and dump the combined report at
+///                           exit
 ///   --timeline-json=<path>  enable the cross-thread event timeline and
 ///                           dump it as Chrome trace-event JSON at exit
 ///   --timeline-capacity=N   events per thread ring (default 8192)

@@ -29,8 +29,8 @@
 //
 // The telemetry flags enable the metrics/span/trace subsystem for the run
 // and dump it afterwards ("-" writes to stdout): --metrics-json writes the
-// combined report (counters, histograms, spans, per-chunk pipeline
-// traces), --metrics-csv the flat instrument table, --trace the per-chunk
+// combined report (counters, histograms, the timeline's span events,
+// per-chunk pipeline traces), --metrics-csv the flat instrument table, --trace the per-chunk
 // trace CSV, --trace-timeline the cross-thread event timeline as Chrome
 // trace-event JSON (load it in chrome://tracing or Perfetto, or summarize
 // it with isobar_stat). --timeline-capacity bounds each thread's event
@@ -126,7 +126,8 @@ struct TelemetryFlags {
     }
     telemetry::SetEnabled(true);
     telemetry::TraceRecorder::Global().SetEnabled(true);
-    if (dest == &timeline_json) {
+    // The report's "spans" and the Chrome trace both read the Timeline.
+    if (dest == &timeline_json || dest == &metrics_json) {
       telemetry::Timeline::Global().SetEnabled(true);
     }
     return true;

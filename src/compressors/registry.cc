@@ -11,16 +11,17 @@
 #include "compressors/zlib_codec.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
-#include "telemetry/timeline.h"
 
 namespace isobar {
 namespace {
 
-/// Decorates a codec with per-codec telemetry: call, byte, and time
-/// counters named `codec.<name>.{compress,decompress}_*` plus a latency
-/// histogram per direction. With telemetry disabled the wrapper costs one
-/// relaxed atomic load per call on top of the virtual dispatch it already
-/// shares with the wrapped codec.
+/// Decorates a codec with per-codec telemetry: call, byte, and error
+/// counters named `codec.<name>.{compress,decompress}_*`, and a span per
+/// call (Timeline slice `codec.<name>`, nested inside chunk.solve or
+/// chunk.decode) feeding the latency histogram of its direction. With
+/// telemetry disabled the wrapper costs one relaxed atomic load per call
+/// on top of the virtual dispatch it already shares with the wrapped
+/// codec.
 class InstrumentedCodec final : public Codec {
  public:
   explicit InstrumentedCodec(const Codec& inner)
@@ -32,8 +33,7 @@ class InstrumentedCodec final : public Codec {
         compress_output_bytes_(
             telemetry::GetCounter(prefix_ + ".compress_output_bytes")),
         compress_errors_(telemetry::GetCounter(prefix_ + ".compress_errors")),
-        compress_nanos_(
-            telemetry::GetHistogram(prefix_ + ".compress_nanos")),
+        compress_site_(prefix_, prefix_ + ".compress_nanos"),
         decompress_calls_(
             telemetry::GetCounter(prefix_ + ".decompress_calls")),
         decompress_input_bytes_(
@@ -42,8 +42,7 @@ class InstrumentedCodec final : public Codec {
             telemetry::GetCounter(prefix_ + ".decompress_output_bytes")),
         decompress_errors_(
             telemetry::GetCounter(prefix_ + ".decompress_errors")),
-        decompress_nanos_(
-            telemetry::GetHistogram(prefix_ + ".decompress_nanos")) {}
+        decompress_site_(prefix_, prefix_ + ".decompress_nanos") {}
 
   CodecId id() const override { return inner_.id(); }
 
@@ -51,15 +50,9 @@ class InstrumentedCodec final : public Codec {
     if (!telemetry::Enabled()) return inner_.Compress(input, out);
     compress_calls_.Increment();
     compress_input_bytes_.Add(input.size());
-    const int64_t start = telemetry::MonotonicNanos();
+    telemetry::ScopedSpan span(compress_site_);
     Status status = inner_.Compress(input, out);
-    const int64_t elapsed = telemetry::MonotonicNanos() - start;
-    compress_nanos_.Observe(static_cast<uint64_t>(elapsed));
-    // One slice per solver call on the worker's track, nested inside
-    // chunk.solve — the trace shows which codec the time went to.
-    // prefix_ outlives the process (the registry never destroys codecs).
-    telemetry::Timeline::Emit(prefix_, telemetry::TimelinePhase::kComplete,
-                              start, elapsed);
+    span.End();
     if (status.ok()) {
       compress_output_bytes_.Add(out->size());
     } else {
@@ -75,12 +68,9 @@ class InstrumentedCodec final : public Codec {
     }
     decompress_calls_.Increment();
     decompress_input_bytes_.Add(input.size());
-    const int64_t start = telemetry::MonotonicNanos();
+    telemetry::ScopedSpan span(decompress_site_);
     Status status = inner_.Decompress(input, original_size, out);
-    const int64_t elapsed = telemetry::MonotonicNanos() - start;
-    decompress_nanos_.Observe(static_cast<uint64_t>(elapsed));
-    telemetry::Timeline::Emit(prefix_, telemetry::TimelinePhase::kComplete,
-                              start, elapsed);
+    span.End();
     if (status.ok()) {
       decompress_output_bytes_.Add(out->size());
     } else {
@@ -91,17 +81,18 @@ class InstrumentedCodec final : public Codec {
 
  private:
   const Codec& inner_;
+  /// The span name; outlives the process (codecs are never destroyed).
   const std::string prefix_;
   telemetry::Counter& compress_calls_;
   telemetry::Counter& compress_input_bytes_;
   telemetry::Counter& compress_output_bytes_;
   telemetry::Counter& compress_errors_;
-  telemetry::Histogram& compress_nanos_;
+  const telemetry::SpanSite compress_site_;
   telemetry::Counter& decompress_calls_;
   telemetry::Counter& decompress_input_bytes_;
   telemetry::Counter& decompress_output_bytes_;
   telemetry::Counter& decompress_errors_;
-  telemetry::Histogram& decompress_nanos_;
+  const telemetry::SpanSite decompress_site_;
 };
 
 template <typename CodecT>

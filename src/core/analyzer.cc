@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "telemetry/metrics.h"
-#include "telemetry/span.h"
 
 namespace isobar {
 
@@ -44,7 +43,6 @@ Result<AnalysisResult> Analyzer::Analyze(ByteSpan data, size_t width) const {
     return Status::InvalidArgument(
         "data must be a non-empty multiple of the element width");
   }
-  telemetry::ScopedSpan span("chunk.analyze");
   static telemetry::Counter& calls = telemetry::GetCounter("analyzer.calls");
   static telemetry::Counter& bytes = telemetry::GetCounter("analyzer.bytes");
   calls.Increment();

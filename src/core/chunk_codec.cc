@@ -8,7 +8,6 @@
 #include "telemetry/span.h"
 #include "telemetry/trace_export.h"
 #include "util/crc32c.h"
-#include "util/stopwatch.h"
 
 namespace isobar {
 
@@ -25,14 +24,15 @@ Result<uint64_t> RunEupaPhase(const CompressOptions& options,
   } else if (!training.empty()) {
     // The analyzer verdict on the probe decides which bytes the candidates
     // are trialed on.
-    Stopwatch eupa_timer;
+    static const telemetry::SpanSite phase_site("eupa.phase");
+    telemetry::ScopedSpan phase_span(phase_site);
     ISOBAR_ASSIGN_OR_RETURN(AnalysisResult verdict,
                             Analyzer(options.analyzer).Analyze(probe, width));
     const uint64_t mask =
         verdict.improvable() ? verdict.compressible_mask : FullMask(width);
     ISOBAR_ASSIGN_OR_RETURN(decision,
                             EupaSelector(eupa).Select(training, width, mask));
-    stats->eupa_seconds += eupa_timer.ElapsedSeconds();
+    stats->eupa_seconds += phase_span.End();
   } else {
     if (eupa.forced_codec) decision.codec = *eupa.forced_codec;
     if (eupa.forced_linearization) {
@@ -62,16 +62,20 @@ Result<uint64_t> RunEupaPhase(const CompressOptions& options,
 Status EncodeChunk(const ChunkPipeline& pipeline, ByteSpan chunk, Bytes* out,
                    CompressionStats* stats, telemetry::ChunkTrace* trace_out,
                    ScratchArena* arena, uint64_t chunk_ordinal) {
+  static const telemetry::SpanSite chunk_site("compress.chunk");
+  static const telemetry::SpanSite analyze_site("chunk.analyze");
+  static const telemetry::SpanSite partition_site("chunk.partition");
+  static const telemetry::SpanSite solve_site("chunk.solve");
   const size_t width = pipeline.width;
   const uint64_t full_mask = FullMask(width);
-  telemetry::ScopedSpan chunk_span("compress.chunk", pipeline.trace_id,
-                                   chunk_ordinal + 1);
+  const uint64_t tag = chunk_ordinal + 1;
+  telemetry::ScopedSpan chunk_span(chunk_site, pipeline.trace_id, tag);
   const size_t record_base = out->size();
 
-  Stopwatch analysis_timer;
+  telemetry::ScopedSpan analyze_span(analyze_site, pipeline.trace_id, tag);
   ISOBAR_ASSIGN_OR_RETURN(AnalysisResult analysis,
                           pipeline.analyzer.Analyze(chunk, width));
-  const double analysis_seconds = analysis_timer.ElapsedSeconds();
+  const double analysis_seconds = analyze_span.End();
   if (stats != nullptr) {
     stats->analysis_seconds += analysis_seconds;
     if (analysis.improvable()) {
@@ -105,36 +109,26 @@ Status EncodeChunk(const ChunkPipeline& pipeline, ByteSpan chunk, Bytes* out,
                        : local_compressed;
 
   ByteSpan raw_section;
-  double partition_seconds = 0.0;
+  telemetry::ScopedSpan partition_span(partition_site, pipeline.trace_id, tag);
   if (analysis.improvable()) {
-    Stopwatch partition_timer;
     ISOBAR_RETURN_NOT_OK(PartitionDataInto(
         chunk, width, analysis.compressible_mask, pipeline.linearization,
         &gathered, &raw, pipeline.raw_linearization));
-    partition_seconds = partition_timer.ElapsedSeconds();
     raw_section = ByteSpan(raw);
   } else {
     // Undetermined (Alg. 1 lines 2-3): the whole chunk goes to the
     // solver, still in the EUPA-chosen linearization.
     chunk_header.flags |= container::kChunkUndetermined;
-    telemetry::ScopedSpan gather_span("chunk.partition", pipeline.trace_id,
-                                      chunk_ordinal + 1);
-    Stopwatch partition_timer;
     ISOBAR_RETURN_NOT_OK(GatherColumns(chunk, width, full_mask,
                                        pipeline.linearization, &gathered));
-    partition_seconds = partition_timer.ElapsedSeconds();
   }
+  const double partition_seconds = partition_span.End();
   if (stats != nullptr) stats->partition_seconds += partition_seconds;
 
-  double codec_seconds = 0.0;
-  {
-    telemetry::ScopedSpan solve_span("chunk.solve", pipeline.trace_id,
-                                     chunk_ordinal + 1);
-    Stopwatch codec_timer;
-    compressed.clear();  // Arena slot may hold the previous chunk's output.
-    ISOBAR_RETURN_NOT_OK(pipeline.codec->Compress(gathered, &compressed));
-    codec_seconds = codec_timer.ElapsedSeconds();
-  }
+  telemetry::ScopedSpan solve_span(solve_site, pipeline.trace_id, tag);
+  compressed.clear();  // Arena slot may hold the previous chunk's output.
+  ISOBAR_RETURN_NOT_OK(pipeline.codec->Compress(gathered, &compressed));
+  const double codec_seconds = solve_span.End();
   if (stats != nullptr) stats->codec_seconds += codec_seconds;
 
   const bool stored_raw = compressed.size() >= gathered.size();
@@ -247,31 +241,27 @@ Status DecodePayload(const ReadPlan& plan, const PlannedRecord& record,
     return Status::Corruption("container: raw section size mismatch");
   }
 
+  static const telemetry::SpanSite decode_site("chunk.decode");
+  static const telemetry::SpanSite scatter_site("chunk.scatter");
   ScratchArena& arena = ScratchArena::ThreadLocal();
   Bytes& decoded = arena.buffer(ScratchArena::kDecoded);
   ByteSpan packed;
-  {
-    telemetry::ScopedSpan decode_span("chunk.decode", 0, record.index + 1);
-    Stopwatch decode_timer;
-    if (chunk_header.flags & container::kChunkStoredRaw) {
-      if (record.compressed.size() != expected_packed) {
-        return Status::Corruption("container: stored section size mismatch");
-      }
-      packed = record.compressed;
-    } else {
-      decoded.clear();  // Arena slot may hold the previous chunk's output.
-      ISOBAR_RETURN_NOT_OK(
-          plan.codec().Decompress(record.compressed, expected_packed,
-                                  &decoded));
-      packed = ByteSpan(decoded);
+  telemetry::ScopedSpan decode_span(decode_site, 0, record.index + 1);
+  if (chunk_header.flags & container::kChunkStoredRaw) {
+    if (record.compressed.size() != expected_packed) {
+      return Status::Corruption("container: stored section size mismatch");
     }
-    if (stats != nullptr) {
-      stats->decode_seconds += decode_timer.ElapsedSeconds();
-    }
+    packed = record.compressed;
+  } else {
+    decoded.clear();  // Arena slot may hold the previous chunk's output.
+    ISOBAR_RETURN_NOT_OK(
+        plan.codec().Decompress(record.compressed, expected_packed, &decoded));
+    packed = ByteSpan(decoded);
   }
+  const double decode_seconds = decode_span.End();
+  if (stats != nullptr) stats->decode_seconds += decode_seconds;
 
-  telemetry::ScopedSpan scatter_span("chunk.scatter", 0, record.index + 1);
-  Stopwatch scatter_timer;
+  telemetry::ScopedSpan scatter_span(scatter_site, 0, record.index + 1);
   ISOBAR_RETURN_NOT_OK(ScatterColumns(packed, width, mask,
                                       plan.header().linearization, dest));
   ISOBAR_RETURN_NOT_OK(ScatterColumns(
@@ -288,10 +278,11 @@ Status DecodePayload(const ReadPlan& plan, const PlannedRecord& record,
       return Status::Corruption("container: chunk checksum mismatch");
     }
   }
+  // Checksum verification is part of the merge stage's bill: it touches
+  // the same reconstructed bytes while they are still cache-hot.
+  const double scatter_seconds = scatter_span.End();
   if (stats != nullptr) {
-    // Checksum verification is part of the merge stage's bill: it touches
-    // the same reconstructed bytes while they are still cache-hot.
-    stats->scatter_seconds += scatter_timer.ElapsedSeconds();
+    stats->scatter_seconds += scatter_seconds;
     ++stats->chunk_count;
   }
 
@@ -308,7 +299,8 @@ Status DecodePayload(const ReadPlan& plan, const PlannedRecord& record,
 Status DecodeChunkPayload(const ReadPlan& plan, const PlannedRecord& record,
                           MutableByteSpan dest, DecompressionStats* stats,
                           ChunkFailureStage* failed_stage) {
-  telemetry::ScopedSpan chunk_span("decompress.chunk", 0, record.index + 1);
+  static const telemetry::SpanSite chunk_site("decompress.chunk");
+  telemetry::ScopedSpan chunk_span(chunk_site, 0, record.index + 1);
   return AnnotateChunkError(
       DecodePayload(plan, record, dest, stats, failed_stage), record.index,
       record.byte_offset);

@@ -111,7 +111,8 @@ Result<EupaDecision> EupaSelector::Select(ByteSpan data, size_t width,
     return decision;
   }
 
-  telemetry::ScopedSpan span("eupa.select");
+  static const telemetry::SpanSite select_site("eupa.select");
+  telemetry::ScopedSpan span(select_site);
   static telemetry::Counter& selections =
       telemetry::GetCounter("eupa.selections");
   selections.Increment();
@@ -173,8 +174,6 @@ Result<EupaDecision> EupaSelector::Select(ByteSpan data, size_t width,
       telemetry::GetCounter("eupa.trials_run");
   static telemetry::Counter& trials_pruned =
       telemetry::GetCounter("eupa.trials_pruned");
-  static telemetry::Counter& measured =
-      telemetry::GetCounter("eupa.candidates_measured");
 
   // The walk. Once a finished tier holds a candidate at or above
   // min_ratio, every later tier is pruned untrialed.
@@ -203,7 +202,6 @@ Result<EupaDecision> EupaSelector::Select(ByteSpan data, size_t width,
                            static_cast<double>(compressed.size());
     best_measured = std::max(best_measured, eval.ratio);
     trials_run.Increment();
-    measured.Increment();
   }
 
   // Decision (§II.C: "the EUPA-selector is a deterministic process"): the

@@ -45,7 +45,8 @@ Result<Bytes> IsobarCompressor::Compress(ByteSpan data, size_t width,
   ISOBAR_RETURN_NOT_OK(ValidateCompressInput(data.size(), width));
   ISOBAR_RETURN_NOT_OK(IsobarStreamWriter::ValidateOptions(options_, width));
 
-  telemetry::ScopedSpan compress_span("compress");
+  static const telemetry::SpanSite compress_site("compress");
+  telemetry::ScopedSpan compress_span(compress_site);
   static telemetry::Counter& compress_calls =
       telemetry::GetCounter("pipeline.compress_calls");
   static telemetry::Counter& compress_input =
@@ -54,7 +55,6 @@ Result<Bytes> IsobarCompressor::Compress(ByteSpan data, size_t width,
       telemetry::GetCounter("pipeline.compress_output_bytes");
   compress_calls.Increment();
   compress_input.Add(data.size());
-  Stopwatch total_timer;
 
   // The container writer's whole-input entry: counted header, the whole
   // input as EUPA's training window, chunks borrowed from `data`.
@@ -65,7 +65,7 @@ Result<Bytes> IsobarCompressor::Compress(ByteSpan data, size_t width,
   const Status status = writer.WriteAll(data);
   *stats = writer.stats();
   ISOBAR_RETURN_NOT_OK(status);
-  stats->total_seconds = total_timer.ElapsedSeconds();
+  stats->total_seconds = compress_span.End();
   compress_output.Add(out.size());
   return out;
 }
@@ -135,12 +135,13 @@ Status ProjectColumns(const ReadPlan& plan, const PlannedRecord& record,
   if (req_solver == 0) return Status::OK();
   ByteSpan packed = record.compressed;
   if (!stored_raw) {
+    static const telemetry::SpanSite decode_site("chunk.decode");
     Bytes& decoded = ScratchArena::ThreadLocal().buffer(ScratchArena::kDecoded);
-    Stopwatch decode_timer;
+    telemetry::ScopedSpan decode_span(decode_site, 0, record.index + 1);
     decoded.clear();
     const Status status =
         plan.codec().Decompress(record.compressed, n * selected, &decoded);
-    stats->decode_seconds += decode_timer.ElapsedSeconds();
+    stats->decode_seconds += decode_span.End();
     ISOBAR_RETURN_NOT_OK(status);
     packed = ByteSpan(decoded);
   }
@@ -162,7 +163,8 @@ Status ProjectColumns(const ReadPlan& plan, const PlannedRecord& record,
 Result<Bytes> IsobarCompressor::Decompress(ByteSpan container_bytes,
                                            const DecompressOptions& options,
                                            DecompressionStats* stats) {
-  telemetry::ScopedSpan decompress_span("decompress");
+  static const telemetry::SpanSite decompress_site("decompress");
+  telemetry::ScopedSpan decompress_span(decompress_site);
   static telemetry::Counter& decompress_calls =
       telemetry::GetCounter("pipeline.decompress_calls");
   static telemetry::Counter& decompress_input =
@@ -178,7 +180,6 @@ Result<Bytes> IsobarCompressor::Decompress(ByteSpan container_bytes,
   SalvageLedger ledger(options);
   const ChunkErrorPolicy policy = options.on_chunk_error;
 
-  Stopwatch total_timer;
   Stopwatch parse_timer;
   ISOBAR_ASSIGN_OR_RETURN(ReadPlan plan,
                           ReadPlan::Open(container_bytes, options));
@@ -274,7 +275,7 @@ Result<Bytes> IsobarCompressor::Decompress(ByteSpan container_bytes,
 
   stats->input_bytes = container_bytes.size();
   stats->output_bytes = out.size();
-  stats->total_seconds = total_timer.ElapsedSeconds();
+  stats->total_seconds = decompress_span.End();
   decompress_output.Add(out.size());
   return out;
 }
@@ -282,7 +283,8 @@ Result<Bytes> IsobarCompressor::Decompress(ByteSpan container_bytes,
 Result<Bytes> IsobarCompressor::DecompressRange(
     ByteSpan container_bytes, uint64_t first_element, uint64_t end_element,
     const DecompressOptions& options, DecompressionStats* stats) {
-  telemetry::ScopedSpan range_span("decompress.range");
+  static const telemetry::SpanSite range_site("decompress.range");
+  telemetry::ScopedSpan range_span(range_site);
   static telemetry::Counter& range_reads =
       telemetry::GetCounter("pipeline.range_reads");
   static telemetry::Counter& range_chunks =
@@ -297,7 +299,6 @@ Result<Bytes> IsobarCompressor::DecompressRange(
   }
   SalvageLedger ledger(options);
 
-  Stopwatch total_timer;
   Stopwatch parse_timer;
   ISOBAR_ASSIGN_OR_RETURN(ReadPlan plan,
                           ReadPlan::Open(container_bytes, options));
@@ -378,14 +379,15 @@ Result<Bytes> IsobarCompressor::DecompressRange(
   }
 
   stats->output_bytes = out.size();
-  stats->total_seconds = total_timer.ElapsedSeconds();
+  stats->total_seconds = range_span.End();
   return out;
 }
 
 Result<Bytes> IsobarCompressor::DecompressColumns(
     ByteSpan container_bytes, uint64_t column_mask,
     const DecompressOptions& options, DecompressionStats* stats) {
-  telemetry::ScopedSpan columns_span("decompress.columns");
+  static const telemetry::SpanSite columns_site("decompress.columns");
+  telemetry::ScopedSpan columns_span(columns_site);
   static telemetry::Counter& column_reads =
       telemetry::GetCounter("pipeline.column_reads");
   column_reads.Increment();
@@ -395,7 +397,6 @@ Result<Bytes> IsobarCompressor::DecompressColumns(
   *stats = DecompressionStats{};
   SalvageLedger ledger(options);
 
-  Stopwatch total_timer;
   Stopwatch parse_timer;
   ISOBAR_ASSIGN_OR_RETURN(ReadPlan plan,
                           ReadPlan::Open(container_bytes, options));
@@ -458,7 +459,7 @@ Result<Bytes> IsobarCompressor::DecompressColumns(
           : ledger.Trailing(plan.trailing_bytes()));
 
   stats->output_bytes = out.size();
-  stats->total_seconds = total_timer.ElapsedSeconds();
+  stats->total_seconds = columns_span.End();
   return out;
 }
 

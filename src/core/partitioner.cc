@@ -1,7 +1,6 @@
 #include "core/partitioner.h"
 
 #include "telemetry/metrics.h"
-#include "telemetry/span.h"
 
 namespace isobar {
 
@@ -20,8 +19,6 @@ Status PartitionDataInto(ByteSpan data, size_t width,
   if ((compressible_mask & ~full_mask) != 0) {
     return Status::InvalidArgument("mask has bits beyond element width");
   }
-
-  telemetry::ScopedSpan span("chunk.partition");
 
   ISOBAR_RETURN_NOT_OK(GatherColumns(data, width, compressible_mask,
                                      linearization, compressible));

@@ -163,18 +163,20 @@ Status IsobarStreamWriter::EmitChunk(ByteSpan chunk, ChunkSource source,
 }
 
 Status IsobarStreamWriter::DrainOne() {
+  static const telemetry::SpanSite wait_site("writer.wait");
+  static const telemetry::SpanSite append_site("writer.append");
   const uint64_t ordinal = chunks_drained_++;
   EncodedRecord encoded;
   {
     // A long wait here = the in-order writer stalled on a straggler chunk;
     // the timeline makes the stall and its chunk visible.
-    telemetry::ScopedSpan wait_span("writer.wait", pipeline_.trace_id,
+    telemetry::ScopedSpan wait_span(wait_site, pipeline_.trace_id,
                                     ordinal + 1);
     encoded = in_flight_.front().get();
     in_flight_.pop_front();
   }
   ISOBAR_RETURN_NOT_OK(encoded.status);
-  telemetry::ScopedSpan append_span("writer.append", pipeline_.trace_id,
+  telemetry::ScopedSpan append_span(append_site, pipeline_.trace_id,
                                     ordinal + 1);
   ISOBAR_RETURN_NOT_OK(WriteRecord(encoded.record));
   MergeChunkStats(encoded.stats, &stats_);

@@ -1,112 +1,36 @@
 #include "telemetry/span.h"
 
-#include <atomic>
-#include <mutex>
+#include <string>
 
 #include "telemetry/timeline.h"
 #include "util/stopwatch.h"
 
 namespace isobar::telemetry {
-namespace {
-
-std::atomic<uint64_t> g_next_span_id{1};
-
-// Per-thread innermost open span, for parent/depth linkage.
-struct ThreadSpanState {
-  uint64_t current_id = 0;
-  int depth = 0;
-};
-thread_local ThreadSpanState t_span_state;
-
-}  // namespace
 
 int64_t MonotonicNanos() {
   static const Stopwatch& epoch = *new Stopwatch();
   return epoch.ElapsedNanos();
 }
 
-SpanLog& SpanLog::Global() {
-  static SpanLog& log = *new SpanLog();
-  return log;
-}
+SpanSite::SpanSite(std::string_view name)
+    : SpanSite(name, "span." + std::string(name) + ".nanos") {}
 
-void SpanLog::set_capacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  capacity_ = capacity;
-  if (records_.size() > capacity_) records_.resize(capacity_);
-}
+SpanSite::SpanSite(std::string_view name, std::string_view histogram_name)
+    : name(name), histogram(GetHistogram(histogram_name)) {}
 
-size_t SpanLog::capacity() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return capacity_;
-}
+ScopedSpan::ScopedSpan(const SpanSite& site, uint64_t arg0, uint64_t arg1)
+    : site_(site), start_nanos_(MonotonicNanos()), arg0_(arg0), arg1_(arg1) {}
 
-void SpanLog::Append(SpanRecord record) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (records_.size() < capacity_) {
-      records_.push_back(std::move(record));
-      return;
+double ScopedSpan::End() {
+  if (duration_nanos_ < 0) {
+    duration_nanos_ = MonotonicNanos() - start_nanos_;
+    if (Enabled()) {
+      site_.histogram.Observe(static_cast<uint64_t>(duration_nanos_));
+      Timeline::Emit(site_.name, TimelinePhase::kComplete, start_nanos_,
+                     duration_nanos_, arg0_, arg1_);
     }
   }
-  GetCounter("telemetry.spans_dropped").Increment();
-}
-
-std::vector<SpanRecord> SpanLog::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return records_;
-}
-
-void SpanLog::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  records_.clear();
-}
-
-ScopedSpan::ScopedSpan(std::string_view name) {
-  if (!Enabled()) return;
-  active_ = true;
-  name_ = name;
-  id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
-  parent_id_ = t_span_state.current_id;
-  depth_ = t_span_state.depth;
-  t_span_state.current_id = id_;
-  ++t_span_state.depth;
-  start_nanos_ = MonotonicNanos();
-}
-
-ScopedSpan::ScopedSpan(std::string_view name, uint64_t arg0, uint64_t arg1)
-    : ScopedSpan(name) {
-  arg0_ = arg0;
-  arg1_ = arg1;
-}
-
-ScopedSpan::~ScopedSpan() {
-  if (!active_) return;
-  const int64_t duration = MonotonicNanos() - start_nanos_;
-  t_span_state.current_id = parent_id_;
-  --t_span_state.depth;
-
-  if (Timeline::Enabled()) {
-    Timeline::Emit(name_, TimelinePhase::kComplete, start_nanos_,
-                   duration < 0 ? 0 : duration, arg0_, arg1_);
-  }
-
-  GetHistogram("span." + std::string(name_) + ".nanos")
-      .Observe(static_cast<uint64_t>(duration < 0 ? 0 : duration));
-
-  SpanRecord record;
-  record.id = id_;
-  record.parent_id = parent_id_;
-  record.depth = depth_;
-  record.name = std::string(name_);
-  record.start_nanos = start_nanos_;
-  record.duration_nanos = duration;
-  SpanLog::Global().Append(std::move(record));
-}
-
-int64_t ScopedSpan::ElapsedNanos() const {
-  if (!active_) return 0;
-  return MonotonicNanos() - start_nanos_;
+  return static_cast<double>(duration_nanos_) * 1e-9;
 }
 
 }  // namespace isobar::telemetry

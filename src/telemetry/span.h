@@ -2,97 +2,76 @@
 #define ISOBAR_TELEMETRY_SPAN_H_
 
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "telemetry/metrics.h"
 
 namespace isobar::telemetry {
 
-/// One finished span, as kept by the bounded in-memory span log.
-struct SpanRecord {
-  uint64_t id = 0;         ///< process-unique, 1-based
-  uint64_t parent_id = 0;  ///< 0 for a root span
-  int depth = 0;           ///< 0 for a root span
-  std::string name;
-  int64_t start_nanos = 0;  ///< monotonic, relative to process start
-  int64_t duration_nanos = 0;
+/// Where a span is taken: its name (the Timeline slice name) and the
+/// histogram its durations feed, `span.<name>.nanos` unless one is named.
+/// Each call site declares its site once, as a function-local static, so
+/// the name→histogram lookup happens on first use and never again:
+///
+///   static const telemetry::SpanSite solve_site("chunk.solve");
+///   telemetry::ScopedSpan solve_span(solve_site, pipeline_id, chunk + 1);
+///   ...
+///   stats->codec_seconds += solve_span.End();
+///
+/// `name` must outlive the process (the Timeline keeps only the pointer):
+/// a string literal, or a string owned by a never-destroyed object.
+struct SpanSite {
+  explicit SpanSite(std::string_view name);
+  SpanSite(std::string_view name, std::string_view histogram_name);
+
+  std::string_view name;
+  Histogram& histogram;
 };
 
-/// Process-wide log of finished spans, bounded so that arbitrarily long
-/// runs cannot grow memory without limit: once `capacity` records are
-/// held, further spans still aggregate into their histograms but are not
-/// logged individually (the `telemetry.spans_dropped` counter tracks how
-/// many).
-class SpanLog {
- public:
-  static SpanLog& Global();
-
-  void set_capacity(size_t capacity);
-  size_t capacity() const;
-
-  void Append(SpanRecord record);
-  std::vector<SpanRecord> Snapshot() const;
-  void Clear();
-
- private:
-  SpanLog() = default;
-
-  mutable std::mutex mutex_;
-  size_t capacity_ = 8192;
-  std::vector<SpanRecord> records_;
-};
-
-/// RAII wall-clock span covering one pipeline stage. Spans nest through a
-/// thread-local stack, giving each record its parent and depth — the
-/// hierarchy is pipeline → chunk → stage, e.g.:
+/// RAII wall-clock timer over one pipeline stage, and that stage's only
+/// clock: the stage's stats and ChunkTrace seconds are its span's End().
+/// A span always reads the clock, so those numbers exist with telemetry
+/// off or compiled out. When it closes with telemetry on, it also
+/// observes its duration into its site's histogram and, when the Timeline
+/// is on, lands there as one complete event carrying its args. Spans nest
+/// by time containment on their thread's Timeline track:
 ///
 ///   compress
-///   ├── eupa.select
-///   └── compress.chunk            (one per chunk)
-///       ├── chunk.analyze
-///       ├── chunk.partition
-///       └── chunk.solve
-///
-/// On destruction the duration is observed into the global histogram
-/// `span.<name>.nanos` and the record appended to the SpanLog; when the
-/// cross-thread Timeline is enabled the span also lands there as one
-/// complete event carrying its args. When telemetry is disabled at
-/// construction the span is inert (one relaxed atomic load; no clock
-/// read).
-///
-/// `name` must outlive the span; instrumentation sites pass string
-/// literals (the Timeline keeps only the pointer).
+///   ├── eupa.phase
+///   │   └── eupa.select
+///   ├── compress.chunk            (one per chunk, on a worker's track)
+///   │   ├── chunk.analyze
+///   │   ├── chunk.partition
+///   │   └── chunk.solve
+///   │       └── codec.<name>
+///   ├── writer.wait
+///   └── writer.append
 class ScopedSpan {
  public:
-  explicit ScopedSpan(std::string_view name);
-  /// As above, tagging the span with the pipeline id (arg0) and chunk
-  /// ordinal + 1 (arg1) so timeline tooling can group slices per chunk.
-  /// Zero means "unset" for both.
-  ScopedSpan(std::string_view name, uint64_t arg0, uint64_t arg1);
-  ~ScopedSpan();
+  /// Starts the clock. `arg0` tags the span with its pipeline id and
+  /// `arg1` with its chunk ordinal + 1, so timeline tooling can group
+  /// slices per chunk; zero means unset for both.
+  explicit ScopedSpan(const SpanSite& site, uint64_t arg0 = 0,
+                      uint64_t arg1 = 0);
+  ~ScopedSpan() { End(); }
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  bool active() const { return active_; }
-  /// Nanoseconds since construction (0 for an inert span).
-  int64_t ElapsedNanos() const;
+  /// Closes the span and returns its seconds. Only the first call closes
+  /// it; later calls, and the destructor, return the same value.
+  double End();
 
  private:
-  bool active_ = false;
-  std::string_view name_;
-  uint64_t id_ = 0;
-  uint64_t parent_id_ = 0;
-  int depth_ = 0;
-  int64_t start_nanos_ = 0;
-  uint64_t arg0_ = 0;
-  uint64_t arg1_ = 0;
+  const SpanSite& site_;
+  int64_t start_nanos_;
+  int64_t duration_nanos_ = -1;  ///< -1 while the span is open
+  uint64_t arg0_;
+  uint64_t arg1_;
 };
 
 /// Monotonic nanoseconds since the first telemetry use in this process;
-/// the time base of SpanRecord::start_nanos.
+/// the time base of Timeline events.
 int64_t MonotonicNanos();
 
 }  // namespace isobar::telemetry

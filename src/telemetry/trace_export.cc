@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 
 namespace isobar::telemetry {
 namespace {
@@ -44,12 +45,6 @@ void AppendEscaped(const std::string& s, std::string* out) {
 void AppendU64(uint64_t v, std::string* out) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  *out += buf;
-}
-
-void AppendI64(int64_t v, std::string* out) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
   *out += buf;
 }
 
@@ -418,29 +413,6 @@ std::string TraceToCsv(const std::vector<PipelineTrace>& pipelines) {
   return out;
 }
 
-std::string SpansToJson(const std::vector<SpanRecord>& spans) {
-  std::string out = "[";
-  for (size_t i = 0; i < spans.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    const SpanRecord& s = spans[i];
-    out += "{\"id\":";
-    AppendU64(s.id, &out);
-    out += ",\"parent_id\":";
-    AppendU64(s.parent_id, &out);
-    out += ",\"depth\":";
-    AppendI64(s.depth, &out);
-    out += ",\"name\":";
-    AppendEscaped(s.name, &out);
-    out += ",\"start_nanos\":";
-    AppendI64(s.start_nanos, &out);
-    out += ",\"duration_nanos\":";
-    AppendI64(s.duration_nanos, &out);
-    out += "}";
-  }
-  out += "]";
-  return out;
-}
-
 std::string TimelineToJson(const std::vector<ThreadTimelineSnapshot>& threads) {
   std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   bool first = true;
@@ -483,7 +455,8 @@ std::string TelemetryReportJson() {
   std::string out = "{\"metrics\":";
   out += MetricsToJson(MetricsRegistry::Global().Snapshot());
   out += ",\"spans\":";
-  out += SpansToJson(SpanLog::Global().Snapshot());
+  out += FlightRecorderToJson(Timeline::Global().SnapshotRecent(
+      std::numeric_limits<size_t>::max()));
   out += ",\"pipelines\":";
   out += TraceToJson(TraceRecorder::Global().Snapshot());
   out += "}";

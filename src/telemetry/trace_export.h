@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "telemetry/metrics.h"
-#include "telemetry/span.h"
 #include "telemetry/timeline.h"
 
 namespace isobar::telemetry {
@@ -119,8 +118,6 @@ std::string TraceToJson(const std::vector<PipelineTrace>& pipelines);
 /// CSV with one row per chunk across all pipelines.
 std::string TraceToCsv(const std::vector<PipelineTrace>& pipelines);
 
-std::string SpansToJson(const std::vector<SpanRecord>& spans);
-
 /// Chrome trace-event JSON (the format chrome://tracing and Perfetto
 /// load): one "X" complete event per timeline slice plus a thread_name
 /// metadata event per track, ts/dur in fractional microseconds relative
@@ -129,14 +126,16 @@ std::string SpansToJson(const std::vector<SpanRecord>& spans);
 /// the 0-based ordinal).
 std::string TimelineToJson(const std::vector<ThreadTimelineSnapshot>& threads);
 
-/// Same trace-event shape for a flat flight-recorder window (as embedded
-/// in a SalvageReport): events carry their tid but no thread names.
+/// Same trace-event shape as a flat event array (a SalvageReport's
+/// flight-recorder window, a report's "spans"): events carry their tid
+/// but no thread names.
 std::string FlightRecorderToJson(
     const std::vector<TimelineEventSnapshot>& events);
 
-/// The combined report the CLI's --metrics-json writes: current global
-/// metrics, span log, and pipeline traces in one JSON document
-/// ({"metrics": ..., "spans": ..., "pipelines": ...}).
+/// The combined report the CLI's --metrics-json writes, in one JSON
+/// document: current global metrics, every event the Timeline holds
+/// (ordered by start; empty unless the Timeline is on), and the pipeline
+/// traces ({"metrics": ..., "spans": [...], "pipelines": [...]}).
 std::string TelemetryReportJson();
 
 }  // namespace isobar::telemetry

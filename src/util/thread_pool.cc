@@ -119,6 +119,7 @@ void ThreadPool::RunWorker(size_t index) {
     std::snprintf(name, sizeof(name), "worker-%zu", index);
     telemetry::Timeline::SetCurrentThreadName(name);
   }
+  static const telemetry::SpanSite task_site("pool.task");
   WorkerQueue& own = *queues_[index];
   for (;;) {
     Item item;
@@ -138,10 +139,10 @@ void ThreadPool::RunWorker(size_t index) {
       // count must already be there.
       own.tasks_executed.fetch_add(1, std::memory_order_relaxed);
       {
-        // Inert single branch when telemetry is off; with the timeline on
-        // it puts one pool.task slice per task on this worker's track, so
-        // the gaps between slices *are* the worker's idle/starvation.
-        telemetry::ScopedSpan task_span("pool.task");
+        // With the timeline on this puts one pool.task slice per task on
+        // this worker's track, so the gaps between slices *are* the
+        // worker's idle/starvation.
+        telemetry::ScopedSpan task_span(task_site);
         item.fn();
       }
       continue;

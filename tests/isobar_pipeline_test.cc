@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "compressors/registry.h"
 #include "core/isobar.h"
 #include "datagen/registry.h"
 #include "telemetry/metrics.h"
+#include "telemetry/timeline.h"
 #include "telemetry/trace_export.h"
 #include "util/random.h"
 
@@ -108,39 +113,9 @@ TEST(IsobarPipelineTest, AnalysisThroughputIsMeasured) {
   EXPECT_GT(stats.compression_mbps(), 0.0);
 }
 
-// ---------------------------------------------------------------------------
-// Telemetry invariants: the observability layer must agree with the
-// pipeline's own statistics byte for byte.
-
-class PipelineTelemetryTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
-    telemetry::SetEnabled(true);
-    telemetry::TraceRecorder::Global().SetEnabled(true);
-    telemetry::MetricsRegistry::Global().ResetAll();
-    telemetry::SpanLog::Global().Clear();
-    telemetry::TraceRecorder::Global().Clear();
-  }
-
-  void TearDown() override {
-    if (!telemetry::kCompiledIn) return;
-    telemetry::SetEnabled(false);
-    telemetry::TraceRecorder::Global().SetEnabled(false);
-    telemetry::MetricsRegistry::Global().ResetAll();
-    telemetry::SpanLog::Global().Clear();
-    telemetry::TraceRecorder::Global().Clear();
-  }
-
-  uint64_t CounterValue(const char* name) {
-    const telemetry::MetricsSnapshot snapshot =
-        telemetry::MetricsRegistry::Global().Snapshot();
-    const telemetry::CounterSnapshot* c = snapshot.FindCounter(name);
-    return c == nullptr ? 0 : c->value;
-  }
-};
-
-TEST_F(PipelineTelemetryTest, StageSecondsSumWithinTotal) {
+// Spans are the stage clocks, so the stats timings hold in every build,
+// telemetry compiled out included.
+TEST(IsobarPipelineTest, StageSecondsSumWithinTotal) {
   auto dataset = Generate("flash_velx", 300000);
   ASSERT_TRUE(dataset.ok());
   CompressOptions options;
@@ -184,7 +159,61 @@ TEST_F(PipelineTelemetryTest, StageSecondsSumWithinTotal) {
   EXPECT_LE(dstats.parse_seconds + dstats.decode_seconds +
                 dstats.scatter_seconds,
             dstats.total_seconds);
+
+  // The range and column readers time their stages the same way.
+  DecompressionStats rstats;
+  auto range = IsobarCompressor::DecompressRange(*compressed, 50000, 250000,
+                                                 doptions, &rstats);
+  ASSERT_TRUE(range.ok());
+  EXPECT_EQ(rstats.chunk_count, 3u);
+  EXPECT_GT(rstats.decode_seconds, 0.0);
+  EXPECT_LE(rstats.parse_seconds + rstats.decode_seconds +
+                rstats.scatter_seconds,
+            rstats.total_seconds);
+
+  // flash_velx keeps its two high byte-planes with the solver.
+  DecompressionStats cstats;
+  auto planes = IsobarCompressor::DecompressColumns(*compressed, 0xC0,
+                                                    doptions, &cstats);
+  ASSERT_TRUE(planes.ok());
+  EXPECT_EQ(cstats.chunk_count, 3u);
+  EXPECT_GT(cstats.decode_seconds, 0.0);
+  EXPECT_LE(cstats.parse_seconds + cstats.decode_seconds +
+                cstats.scatter_seconds,
+            cstats.total_seconds);
 }
+
+// ---------------------------------------------------------------------------
+// Telemetry invariants: the observability layer must agree with the
+// pipeline's own statistics byte for byte.
+
+class PipelineTelemetryTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+    telemetry::SetEnabled(true);
+    telemetry::TraceRecorder::Global().SetEnabled(true);
+    telemetry::MetricsRegistry::Global().ResetAll();
+    telemetry::TraceRecorder::Global().Clear();
+  }
+
+  void TearDown() override {
+    if (!telemetry::kCompiledIn) return;
+    telemetry::SetEnabled(false);
+    telemetry::TraceRecorder::Global().SetEnabled(false);
+    telemetry::Timeline::Global().SetEnabled(false);
+    telemetry::MetricsRegistry::Global().ResetAll();
+    telemetry::TraceRecorder::Global().Clear();
+    telemetry::Timeline::Global().Clear();
+  }
+
+  uint64_t CounterValue(const char* name) {
+    const telemetry::MetricsSnapshot snapshot =
+        telemetry::MetricsRegistry::Global().Snapshot();
+    const telemetry::CounterSnapshot* c = snapshot.FindCounter(name);
+    return c == nullptr ? 0 : c->value;
+  }
+};
 
 TEST_F(PipelineTelemetryTest, CountersMatchCompressionStats) {
   auto dataset = Generate("flash_velx", 300000);
@@ -213,6 +242,59 @@ TEST_F(PipelineTelemetryTest, CountersMatchCompressionStats) {
   EXPECT_EQ(CounterValue("pipeline.decompress_calls"), 1u);
   EXPECT_EQ(CounterValue("pipeline.chunks_decoded"), stats.chunk_count);
   EXPECT_EQ(CounterValue("pipeline.checksum_failures"), 0u);
+}
+
+TEST_F(PipelineTelemetryTest, CompressStageSlicesCarryTheirChunk) {
+  // Each stage slice a chunk's encode leaves on the Timeline names its
+  // pipeline and chunk, once per stage, and the analyzer probe inside
+  // the EUPA phase is billed to eupa.phase rather than chunk.analyze.
+  auto dataset = Generate("flash_velx", 300000);
+  ASSERT_TRUE(dataset.ok());
+  telemetry::Timeline::Global().SetEnabled(true);
+  for (const size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    telemetry::TraceRecorder::Global().Clear();
+    telemetry::Timeline::Global().Clear();
+    CompressOptions options;
+    options.chunk_elements = 100000;
+    options.num_threads = threads;
+    const auto before = telemetry::MetricsRegistry::Global().Snapshot();
+    CompressionStats stats;
+    ASSERT_TRUE(
+        IsobarCompressor(options).Compress(dataset->bytes(), 8, &stats).ok());
+    const auto delta = telemetry::Delta(
+        before, telemetry::MetricsRegistry::Global().Snapshot());
+    ASSERT_EQ(stats.chunk_count, 3u);
+
+    const auto pipelines = telemetry::TraceRecorder::Global().Snapshot();
+    ASSERT_EQ(pipelines.size(), 1u);
+    const uint64_t pipeline_id = pipelines[0].pipeline_id;
+    std::map<std::string, std::vector<uint64_t>> ordinals;
+    size_t eupa_phases = 0;
+    for (const auto& thread : telemetry::Timeline::Global().Snapshot()) {
+      for (const auto& event : thread.events) {
+        if (event.name == "eupa.phase") ++eupa_phases;
+        if (event.name != "chunk.analyze" && event.name != "chunk.partition" &&
+            event.name != "chunk.solve") {
+          continue;
+        }
+        EXPECT_EQ(event.arg0, pipeline_id) << event.name;
+        ASSERT_GE(event.arg1, 1u) << event.name;
+        ordinals[event.name].push_back(event.arg1 - 1);
+      }
+    }
+    for (const char* stage : {"chunk.analyze", "chunk.partition",
+                              "chunk.solve"}) {
+      std::vector<uint64_t>& seen = ordinals[stage];
+      std::sort(seen.begin(), seen.end());
+      EXPECT_EQ(seen, (std::vector<uint64_t>{0, 1, 2})) << stage;
+    }
+    EXPECT_EQ(eupa_phases, 1u);
+    const telemetry::HistogramSnapshot* analyze =
+        delta.FindHistogram("span.chunk.analyze.nanos");
+    ASSERT_NE(analyze, nullptr);
+    EXPECT_EQ(analyze->count, stats.chunk_count);
+  }
 }
 
 TEST_F(PipelineTelemetryTest, TraceByteTotalsMatchContainer) {

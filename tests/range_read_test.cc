@@ -264,6 +264,34 @@ TEST(ColumnReadTest, StoredRawChunksServeColumnsWithoutSolver) {
   EXPECT_EQ(raw_after->value - (raw_before ? raw_before->value : 0), 8u);
 }
 
+TEST(ColumnReadTest, SolverDecodesShowAsChunkDecodeSpans) {
+  // A column read that needs solver-held planes decodes each chunk's
+  // solver section once, and that decode is a chunk.decode span like a
+  // full read's.
+  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  Bytes plaintext;
+  size_t width = 0;
+  const Bytes container = MakeContainer(&plaintext, &width);
+  telemetry::SetEnabled(true);
+  const auto before = telemetry::MetricsRegistry::Global().Snapshot();
+  DecompressionStats stats;
+  auto planes =
+      IsobarCompressor::DecompressColumns(container, 0xF, {}, &stats);
+  const auto delta = telemetry::Delta(
+      before, telemetry::MetricsRegistry::Global().Snapshot());
+  telemetry::SetEnabled(false);
+  ASSERT_TRUE(planes.ok()) << planes.status().ToString();
+  EXPECT_EQ(*planes, Planes(plaintext, width, 0xF));
+
+  const auto* decoded = delta.FindCounter("pipeline.column_planes_decoded");
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_GT(decoded->value, 0u);
+  const auto* spans = delta.FindHistogram("span.chunk.decode.nanos");
+  ASSERT_NE(spans, nullptr);
+  EXPECT_EQ(stats.chunk_count, 4u);
+  EXPECT_EQ(spans->count, stats.chunk_count);
+}
+
 TEST(ColumnReadTest, V1ContainerColumnsViaStridedGather) {
   Bytes plaintext;
   size_t width = 0;

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <chrono>
+#include <cmath>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
+#include "telemetry/timeline.h"
 #include "telemetry/trace_export.h"
 
 namespace isobar::telemetry {
@@ -190,18 +194,18 @@ class TelemetryTest : public ::testing::Test {
     SetEnabled(true);
     TraceRecorder::Global().SetEnabled(true);
     MetricsRegistry::Global().ResetAll();
-    SpanLog::Global().Clear();
     TraceRecorder::Global().Clear();
+    Timeline::Global().Clear();
   }
 
   void TearDown() override {
     if (!kCompiledIn) return;
     SetEnabled(false);
     TraceRecorder::Global().SetEnabled(false);
+    Timeline::Global().SetEnabled(false);
     MetricsRegistry::Global().ResetAll();
-    SpanLog::Global().Clear();
     TraceRecorder::Global().Clear();
-    SpanLog::Global().set_capacity(8192);
+    Timeline::Global().Clear();
     TraceRecorder::Global().set_max_chunks_per_pipeline(4096);
   }
 };
@@ -396,62 +400,94 @@ TEST_F(TelemetryTest, SnapshotAndDelta) {
   EXPECT_EQ(h->sum, 50u);
 }
 
-TEST_F(TelemetryTest, SpansNestViaThreadLocalStack) {
-  {
-    ScopedSpan outer("unit.outer");
-    {
-      ScopedSpan inner("unit.inner");
-      ScopedSpan innermost("unit.innermost");
-      EXPECT_TRUE(innermost.active());
+// The calling thread's Timeline events, located by one it just emitted
+// (tests share the process, and tids are registration order).
+std::vector<TimelineEventSnapshot> EventsOfThreadWith(std::string_view name) {
+  for (auto& thread : Timeline::Global().Snapshot()) {
+    for (const auto& event : thread.events) {
+      if (event.name == name) return std::move(thread.events);
     }
   }
-  const std::vector<SpanRecord> spans = SpanLog::Global().Snapshot();
-  ASSERT_EQ(spans.size(), 3u);
-  // Spans close innermost-first.
-  const SpanRecord& innermost = spans[0];
-  const SpanRecord& inner = spans[1];
-  const SpanRecord& outer = spans[2];
-  EXPECT_EQ(outer.name, "unit.outer");
-  EXPECT_EQ(outer.depth, 0);
-  EXPECT_EQ(outer.parent_id, 0u);
-  EXPECT_EQ(inner.name, "unit.inner");
-  EXPECT_EQ(inner.depth, 1);
-  EXPECT_EQ(inner.parent_id, outer.id);
-  EXPECT_EQ(innermost.name, "unit.innermost");
-  EXPECT_EQ(innermost.depth, 2);
-  EXPECT_EQ(innermost.parent_id, inner.id);
-  EXPECT_GE(outer.duration_nanos, inner.duration_nanos);
+  return {};
+}
 
-  // Each span also aggregated into its latency histogram.
+TEST_F(TelemetryTest, SpansNestByTimeOnTheirTrack) {
+  Timeline::Global().SetEnabled(true);
+  static const SpanSite outer_site("unit.outer");
+  static const SpanSite inner_site("unit.inner");
+  static const SpanSite innermost_site("unit.innermost");
+  double outer_seconds = 0.0;
+  {
+    ScopedSpan outer(outer_site);
+    {
+      ScopedSpan inner(inner_site);
+      ScopedSpan innermost(innermost_site);
+    }
+    outer_seconds = outer.End();
+    // Closing is idempotent: a second End (and the destructor) returns
+    // the first result and records nothing more.
+    EXPECT_EQ(outer.End(), outer_seconds);
+  }
+  EXPECT_GT(outer_seconds, 0.0);
+
+  // Spans land on the Timeline as they close, innermost first.
+  const std::vector<TimelineEventSnapshot> events =
+      EventsOfThreadWith("unit.outer");
+  ASSERT_EQ(events.size(), 3u);
+  const TimelineEventSnapshot& innermost = events[0];
+  const TimelineEventSnapshot& inner = events[1];
+  const TimelineEventSnapshot& outer = events[2];
+  EXPECT_EQ(innermost.name, "unit.innermost");
+  EXPECT_EQ(inner.name, "unit.inner");
+  EXPECT_EQ(outer.name, "unit.outer");
+  // Nesting is time containment on the one track.
+  auto contains = [](const TimelineEventSnapshot& a,
+                     const TimelineEventSnapshot& b) {
+    return a.start_nanos <= b.start_nanos &&
+           b.start_nanos + b.duration_nanos <=
+               a.start_nanos + a.duration_nanos;
+  };
+  EXPECT_TRUE(contains(outer, inner));
+  EXPECT_TRUE(contains(inner, innermost));
+  EXPECT_EQ(outer.duration_nanos,
+            static_cast<int64_t>(std::llround(outer_seconds * 1e9)));
+
+  // Each span fed its histogram exactly once.
   const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  const HistogramSnapshot* h = snapshot.FindHistogram("span.unit.outer.nanos");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 1u);
+  for (const char* name : {"span.unit.outer.nanos", "span.unit.inner.nanos",
+                           "span.unit.innermost.nanos"}) {
+    const HistogramSnapshot* h = snapshot.FindHistogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->count, 1u) << name;
+  }
+  // A site may name its histogram instead.
+  static const SpanSite named_site("unit.named", "unit.named_nanos");
+  for (int i = 0; i < 10; ++i) ScopedSpan span(named_site);
+  const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+  const HistogramSnapshot* named = after.FindHistogram("unit.named_nanos");
+  ASSERT_NE(named, nullptr);
+  EXPECT_EQ(named->count, 10u);
 }
 
 TEST_F(TelemetryTest, DisabledSpansAreInert) {
+  // With telemetry off a span still times (the stats read it) but
+  // records nothing: no histogram observation, no Timeline event.
+  Timeline::Global().SetEnabled(true);
   SetEnabled(false);
-  {
-    ScopedSpan span("unit.disabled");
-    EXPECT_FALSE(span.active());
-    EXPECT_EQ(span.ElapsedNanos(), 0);
-  }
-  EXPECT_TRUE(SpanLog::Global().Snapshot().empty());
-}
-
-TEST_F(TelemetryTest, SpanLogIsBounded) {
-  SpanLog::Global().set_capacity(4);
-  for (int i = 0; i < 10; ++i) {
-    ScopedSpan span("unit.bounded");
-  }
-  EXPECT_EQ(SpanLog::Global().Snapshot().size(), 4u);
-  EXPECT_EQ(GetCounter("telemetry.spans_dropped").value(), 6u);
-  // The histogram still saw every span.
+  static const SpanSite site("unit.disabled");
+  ScopedSpan span(site);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_GE(span.End(), 1e-3);
+  SetEnabled(true);
   const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  const HistogramSnapshot* h =
-      snapshot.FindHistogram("span.unit.bounded.nanos");
+  const HistogramSnapshot* h = snapshot.FindHistogram("span.unit.disabled.nanos");
   ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 10u);
+  EXPECT_EQ(h->count, 0u);
+  for (const auto& thread : Timeline::Global().Snapshot()) {
+    for (const auto& event : thread.events) {
+      EXPECT_NE(event.name, "unit.disabled");
+    }
+  }
 }
 
 TEST_F(TelemetryTest, TraceRecorderRecordsPipeline) {
@@ -561,10 +597,10 @@ TEST_F(TelemetryTest, TraceJsonAndCsvRoundTrip) {
 }
 
 TEST_F(TelemetryTest, CombinedReportIsValidJson) {
+  Timeline::Global().SetEnabled(true);
   GetCounter("test.report").Increment();
-  {
-    ScopedSpan span("unit.report");
-  }
+  static const SpanSite site("unit.report");
+  ScopedSpan(site, 7, 3).End();
   const uint64_t id =
       TraceRecorder::Global().BeginPipeline("zlib", "row", "speed", 8);
   TraceRecorder::Global().EndPipeline(id, 1, 1, 1);
@@ -572,7 +608,13 @@ TEST_F(TelemetryTest, CombinedReportIsValidJson) {
   const std::string report = TelemetryReportJson();
   EXPECT_TRUE(IsValidJson(report)) << report;
   EXPECT_NE(report.find("\"metrics\""), std::string::npos);
-  EXPECT_NE(report.find("\"spans\""), std::string::npos);
+  // "spans" holds the Timeline's events, args and all.
+  EXPECT_NE(report.find("\"spans\":[{\"ph\":\"X\""), std::string::npos)
+      << report;
+  EXPECT_NE(report.find("\"name\":\"unit.report\",\"args\":{\"pipeline\":7,"
+                        "\"chunk\":2}"),
+            std::string::npos)
+      << report;
   EXPECT_NE(report.find("\"pipelines\""), std::string::npos);
 }
 

@@ -84,7 +84,8 @@ TEST_F(TimelineTest, DisabledEmitIsInert) {
 }
 
 TEST_F(TimelineTest, ScopedSpanEmitsCompleteEventWithArgs) {
-  { ScopedSpan span("unit.span.timeline", 42, 6); }
+  static const SpanSite site("unit.span.timeline");
+  { ScopedSpan span(site, 42, 6); }
   const ThreadTimelineSnapshot thread = FindThreadWith("unit.span.timeline");
   ASSERT_FALSE(thread.events.empty());
   const TimelineEventSnapshot& event = thread.events.back();
@@ -124,14 +125,16 @@ TEST_F(TimelineTest, PerThreadOrderingHoldsUnderLoadedPool) {
   // (per-thread monotonic starts: spans close in LIFO order on a thread,
   // and the ring orders by emit = close time, so end times are what is
   // monotonic per thread) and the export must stay valid JSON throughout.
+  static const SpanSite outer_site("unit.load.outer");
+  static const SpanSite inner_site("unit.load.inner");
   ThreadPool pool(8);
   std::atomic<bool> stop{false};
   std::vector<std::future<void>> tasks;
   for (int t = 0; t < 8; ++t) {
     tasks.push_back(pool.Submit([&stop] {
       while (!stop.load(std::memory_order_relaxed)) {
-        ScopedSpan outer("unit.load.outer", 1, 1);
-        ScopedSpan inner("unit.load.inner", 1, 2);
+        ScopedSpan outer(outer_site, 1, 1);
+        ScopedSpan inner(inner_site, 1, 2);
       }
     }));
   }
