@@ -475,7 +475,8 @@ void BM_RunScan(benchmark::State& state) {
 BENCHMARK(BM_RunScan);
 
 // --- Thread sweep: end-to-end pipeline throughput vs worker count, on a
-// dataset wide enough (4 chunks) that the chunk fan-out has work to steal.
+// dataset wide enough (4 chunks) that the chunk fan-out keeps several
+// workers busy at once.
 
 constexpr size_t kSweepElements = 1'500'000;
 

@@ -38,8 +38,8 @@ namespace isobar {
 namespace {
 
 // ~4 MB of the mostly-noise phi profile: small enough that the bzip2
-// rows stay interactive, and chunked finely enough (below) that an
-// 8-thread sweep still has work to steal.
+// rows stay interactive, and chunked finely enough (below) that the
+// multi-thread rows still fan chunks out across workers.
 constexpr size_t kElements = 500'000;
 constexpr uint64_t kChunkElements = 125'000;
 

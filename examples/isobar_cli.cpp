@@ -254,7 +254,7 @@ void PrintDecisionTable(const EupaDecision& decision, double eupa_seconds) {
 }
 
 /// --verbose: thread-pool scheduling summary, read back from the pool.*
-/// counters ThreadPool::PublishStats() recorded at the end of the run.
+/// counters each ThreadPool publishes when it is destroyed.
 void PrintPoolStats() {
   const auto snapshot = telemetry::MetricsRegistry::Global().Snapshot();
   auto counter = [&snapshot](std::string_view name) -> long long {
@@ -270,10 +270,9 @@ void PrintPoolStats() {
   }
   const long long idle = counter("pool.idle_nanos");
   std::fprintf(stderr,
-               "thread pool: %lld tasks submitted, %lld executed; %lld "
-               "steals, %lld failed steal scans; %.3fs aggregate idle\n",
+               "thread pool: %lld tasks submitted, %lld executed; %.3fs "
+               "aggregate idle\n",
                submitted, counter("pool.tasks_executed"),
-               counter("pool.steals"), counter("pool.failed_steal_scans"),
                idle < 0 ? 0.0 : static_cast<double>(idle) / 1e9);
 }
 

@@ -124,6 +124,16 @@ tsan() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DISOBAR_SANITIZE=thread \
     -DISOBAR_BUILD_BENCHMARKS=OFF
+  # Second, a scheduling focus pass: the pool's one queue, the job queue's
+  # dispatch and the Timeline's ring hand-off from an exiting thread to a
+  # starting one are interleavings a single pass can miss, so their
+  # suites repeat ten times with four workers.
+  echo "=== [tsan] scheduling focus ==="
+  ISOBAR_TEST_THREADS=4 \
+    ctest --test-dir build-ci-tsan --output-on-failure \
+      -R 'ThreadPoolTest|JobQueueTest|ParallelPipelineTest|StreamWriterTest|TimelineTest' \
+      --repeat until-fail:10
+  echo "=== [tsan] scheduling focus OK ==="
 }
 
 ubsan() {

@@ -8,6 +8,7 @@
 #include "telemetry/span.h"
 #include "telemetry/trace_export.h"
 #include "util/crc32c.h"
+#include "util/scratch_arena.h"
 
 namespace isobar {
 
@@ -61,7 +62,7 @@ Result<uint64_t> RunEupaPhase(const CompressOptions& options,
 
 Status EncodeChunk(const ChunkPipeline& pipeline, ByteSpan chunk, Bytes* out,
                    CompressionStats* stats, telemetry::ChunkTrace* trace_out,
-                   ScratchArena* arena, uint64_t chunk_ordinal) {
+                   uint64_t chunk_ordinal) {
   static const telemetry::SpanSite chunk_site("compress.chunk");
   static const telemetry::SpanSite analyze_site("chunk.analyze");
   static const telemetry::SpanSite partition_site("chunk.partition");
@@ -94,19 +95,12 @@ Status EncodeChunk(const ChunkPipeline& pipeline, ByteSpan chunk, Bytes* out,
   chunk_header.compressible_mask = analysis.compressible_mask;
   chunk_header.crc32c = crc32c::Value(chunk);
 
-  // Arena-backed temporaries: with a per-worker arena these three vectors
+  // Arena-backed temporaries: on the thread's arena these three vectors
   // reach steady-state capacity after a few chunks and stop allocating.
-  Bytes local_gathered;
-  Bytes local_raw;
-  Bytes local_compressed;
-  Bytes& gathered =
-      arena != nullptr ? arena->buffer(ScratchArena::kGathered)
-                       : local_gathered;
-  Bytes& raw = arena != nullptr ? arena->buffer(ScratchArena::kRaw)
-                                : local_raw;
-  Bytes& compressed =
-      arena != nullptr ? arena->buffer(ScratchArena::kCompressed)
-                       : local_compressed;
+  ScratchArena& arena = ScratchArena::ThreadLocal();
+  Bytes& gathered = arena.buffer(ScratchArena::kGathered);
+  Bytes& raw = arena.buffer(ScratchArena::kRaw);
+  Bytes& compressed = arena.buffer(ScratchArena::kCompressed);
 
   ByteSpan raw_section;
   telemetry::ScopedSpan partition_span(partition_site, pipeline.trace_id, tag);
@@ -158,7 +152,7 @@ Status EncodeChunk(const ChunkPipeline& pipeline, ByteSpan chunk, Bytes* out,
   input_bytes.Add(chunk.size());
   output_bytes.Add(out->size() - record_base);
 
-  if (arena != nullptr) arena->PublishStats();
+  arena.PublishStats();
 
   auto& recorder = telemetry::TraceRecorder::Global();
   if (pipeline.trace_id != 0 && recorder.enabled()) {

@@ -9,7 +9,6 @@
 #include "linearize/transpose.h"
 #include "telemetry/trace_export.h"
 #include "util/bytes.h"
-#include "util/scratch_arena.h"
 #include "util/status.h"
 
 namespace isobar {
@@ -54,17 +53,17 @@ struct ChunkPipeline {
 /// pipeline's trace — unless `trace_out` is non-null, in which case the
 /// record is written there instead of into the global recorder. Pooled
 /// encodes use the out-param so the single writer can stitch
-/// worker-produced traces back into chunk order. When `arena` is non-null
-/// its slots back the gather / raw / compressed temporaries, so a worker
-/// encoding many chunks reuses the same steady-state allocations instead
-/// of reallocating per chunk. `chunk_ordinal` is the chunk's 0-based
+/// worker-produced traces back into chunk order. The thread's ScratchArena
+/// backs the gather / raw / compressed temporaries, so a worker encoding
+/// many chunks reuses the same steady-state allocations instead of
+/// reallocating per chunk. `chunk_ordinal` is the chunk's 0-based
 /// position in its pipeline, used only to tag the chunk's timeline events
 /// (so a trace viewer can follow one chunk across workers); it does not
 /// affect the encoding.
 Status EncodeChunk(const ChunkPipeline& pipeline, ByteSpan chunk, Bytes* out,
                    CompressionStats* stats,
                    telemetry::ChunkTrace* trace_out = nullptr,
-                   ScratchArena* arena = nullptr, uint64_t chunk_ordinal = 0);
+                   uint64_t chunk_ordinal = 0);
 
 /// Prefixes a failed `status` with the failing record's position —
 /// "chunk 17 (container offset 123456): ..." — so corruption reports name

@@ -15,6 +15,7 @@
 #include "io/sink.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
+#include "util/scratch_arena.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -271,7 +272,6 @@ Result<Bytes> IsobarCompressor::Decompress(ByteSpan container_bytes,
     const auto begin = out.begin() + (it->data() - out.data());
     out.erase(begin, begin + static_cast<std::ptrdiff_t>(it->size()));
   }
-  if (pool != nullptr) pool->PublishStats();
 
   stats->input_bytes = container_bytes.size();
   stats->output_bytes = out.size();

@@ -121,9 +121,8 @@ Status IsobarStreamWriter::EmitChunk(ByteSpan chunk, ChunkSource source,
   // chunk with nothing in flight to overlap with, encode on this thread.
   if (num_threads_ <= 1 || (last && in_flight_.empty())) {
     Bytes record;
-    ISOBAR_RETURN_NOT_OK(EncodeChunk(pipeline_, chunk, &record, &stats_,
-                                     nullptr, &ScratchArena::ThreadLocal(),
-                                     ordinal));
+    ISOBAR_RETURN_NOT_OK(
+        EncodeChunk(pipeline_, chunk, &record, &stats_, nullptr, ordinal));
     return WriteRecord(record);
   }
 
@@ -148,12 +147,12 @@ Status IsobarStreamWriter::EmitChunk(ByteSpan chunk, ChunkSource source,
                                       owned = std::move(owned),
                                       ordinal]() -> EncodedRecord {
     EncodedRecord encoded;
-    // ThreadLocal() inside the task: each pool worker reuses its own arena
-    // across every chunk it encodes.
+    // EncodeChunk runs on the worker's own arena, reused across every chunk
+    // that worker encodes.
     encoded.status = EncodeChunk(
         pipeline_, borrowed ? chunk : ByteSpan(owned), &encoded.record,
         &encoded.stats, pipeline_.trace_id != 0 ? &encoded.trace : nullptr,
-        &ScratchArena::ThreadLocal(), ordinal);
+        ordinal);
     return encoded;
   }));
   if (in_flight_.size() >= 2 * num_threads_) {
@@ -191,7 +190,6 @@ Status IsobarStreamWriter::Seal() {
   while (!in_flight_.empty()) {
     ISOBAR_RETURN_NOT_OK(Poison(DrainOne()));
   }
-  if (pool_ != nullptr) pool_->PublishStats();
   pool_.reset();
   if (options_.container_version >= container::kVersion) {
     // The chunk-index footer. Its trailer carries the element total that a

@@ -1,6 +1,8 @@
 #include "server/job_queue.h"
 
 #include <algorithm>
+#include <exception>
+#include <string>
 #include <utility>
 
 #include "telemetry/metrics.h"
@@ -31,30 +33,39 @@ JobQueue::~JobQueue() { Shutdown(); }
 JobResult JobQueue::ExecuteJob(const JobRequest& request) {
   JobResult result;
   Stopwatch timer;
-  if (request.kind == JobKind::kCompress) {
-    // One job = one serial pipeline; concurrency comes from sibling jobs
-    // on other workers. A nested per-job pool would also deadlock-risk a
-    // pool worker waiting on futures served by its own pool.
-    CompressOptions opts = request.compress_options;
-    opts.num_threads = 1;
-    IsobarCompressor compressor(opts);
-    auto compressed =
-        compressor.Compress(request.input, request.width, &result.compression);
-    if (compressed.ok()) {
-      result.output = std::move(*compressed);
+  try {
+    if (request.kind == JobKind::kCompress) {
+      // One job = one serial pipeline; concurrency comes from sibling jobs
+      // on other workers. A nested per-job pool would also deadlock-risk a
+      // pool worker waiting on futures served by its own pool.
+      CompressOptions opts = request.compress_options;
+      opts.num_threads = 1;
+      IsobarCompressor compressor(opts);
+      auto compressed = compressor.Compress(request.input, request.width,
+                                            &result.compression);
+      if (compressed.ok()) {
+        result.output = std::move(*compressed);
+      } else {
+        result.status = compressed.status();
+      }
     } else {
-      result.status = compressed.status();
+      DecompressOptions opts = request.decompress_options;
+      opts.num_threads = 1;
+      auto decompressed = IsobarCompressor::Decompress(request.input, opts,
+                                                       &result.decompression);
+      if (decompressed.ok()) {
+        result.output = std::move(*decompressed);
+      } else {
+        result.status = decompressed.status();
+      }
     }
-  } else {
-    DecompressOptions opts = request.decompress_options;
-    opts.num_threads = 1;
-    auto decompressed = IsobarCompressor::Decompress(request.input, opts,
-                                                     &result.decompression);
-    if (decompressed.ok()) {
-      result.output = std::move(*decompressed);
-    } else {
-      result.status = decompressed.status();
-    }
+  } catch (const std::exception& e) {
+    // A hostile request can make the pipeline throw (a container that
+    // declares a terabyte of output sizes it and gets std::length_error
+    // or std::bad_alloc). That fails this job, never the queue.
+    result.status = Status::Internal(std::string("job threw: ") + e.what());
+  } catch (...) {
+    result.status = Status::Internal("job threw a non-standard exception");
   }
   result.exec_nanos = timer.ElapsedNanos();
   return result;
@@ -117,12 +128,19 @@ void JobQueue::RunJob(PendingJob job) {
       telemetry::GetHistogram("server.queue_wait.nanos");
   queue_wait.Observe(static_cast<uint64_t>(result.queue_nanos));
 
-  const bool failed = !result.status.ok();
+  bool failed = !result.status.ok();
   // Deliver the result BEFORE the job is marked complete: Shutdown() and
   // WaitIdle() promise that every admitted job's callback has run by the
   // time they return (the server relies on this to flush every response
   // during drain), so the callback must precede the idle notification.
-  if (job.done) job.done(std::move(result));
+  try {
+    if (job.done) job.done(std::move(result));
+  } catch (...) {
+    // The callback is the submitter's code. Its failure counts the job as
+    // failed and must not skip the bookkeeping below, or running_ never
+    // drops and the queue stalls.
+    failed = true;
+  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     --running_;

@@ -46,7 +46,8 @@ struct JobResult {
 
 /// Invoked exactly once per admitted job, from the worker thread that ran
 /// it. Must not block for long — it sits between this job's completion
-/// and the dispatch of the next queued one.
+/// and the dispatch of the next queued one. If it throws, the job still
+/// completes and is counted as failed.
 using JobCallback = std::function<void(JobResult)>;
 
 /// Admission verdict. Everything but kAdmitted is load shedding: the
@@ -76,7 +77,7 @@ struct JobQueueOptions {
   size_t max_inflight_per_connection = 8;
 };
 
-/// Bounded job queue in front of the work-stealing thread pool.
+/// Bounded job queue in front of the FIFO thread pool.
 ///
 /// Submit() either admits the job (bounded FIFO) or rejects it
 /// synchronously. A dispatcher hands queued jobs to the pool, at most one
@@ -84,6 +85,10 @@ struct JobQueueOptions {
 /// execution while admission keeps filling the queue — that is also what
 /// the admission-control tests use to drive the queue to saturation
 /// without timing races.
+///
+/// No exception escapes a job: ExecuteJob turns one into a failed
+/// JobResult, and a job whose callback throws still completes (as
+/// failed), so drain always progresses.
 class JobQueue {
  public:
   explicit JobQueue(JobQueueOptions options = {});
@@ -96,7 +101,8 @@ class JobQueue {
 
   /// Runs one job synchronously on the calling thread — the single
   /// execution path shared by the queue's workers and by direct batch
-  /// callers, so a served request and a library call cannot diverge.
+  /// callers, so a served request and a library call cannot diverge. An
+  /// exception from the pipeline becomes a kInternal status.
   static JobResult ExecuteJob(const JobRequest& request);
 
   /// Admits or rejects. On kAdmitted, `done` fires exactly once from a
@@ -125,7 +131,9 @@ class JobQueue {
   struct StatsSnapshot {
     uint64_t admitted = 0;
     uint64_t completed = 0;
-    uint64_t failed = 0;  ///< Completed with a non-OK JobResult::status.
+    /// Completed with a non-OK JobResult::status, or whose callback
+    /// threw.
+    uint64_t failed = 0;
     uint64_t rejected_queue_full = 0;
     uint64_t rejected_connection_limit = 0;
     uint64_t rejected_shutdown = 0;

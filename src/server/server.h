@@ -48,7 +48,7 @@ struct ServerOptions {
 /// out of order by request id as workers finish. One thread runs the
 /// poll() event loop (accept, frame reassembly, flushing queued replies,
 /// dropping connections); job execution happens on the queue's
-/// work-stealing pool. The worker that finished a job sends its reply
+/// thread pool. The worker that finished a job sends its reply
 /// itself when nothing is queued ahead of it on that connection, and
 /// wakes the loop through the wake pipe only when it left bytes queued
 /// (a full socket) or a graceful drain is waiting on it.

@@ -33,6 +33,9 @@ struct TimelineThreadBuffer {
 
   uint32_t tid = 0;
   std::string name;  // guarded by Timeline::mutex_
+  // Held by a live thread. Cleared (release) when that thread exits; the
+  // next thread to register adopts the ring (acquire, under the mutex).
+  std::atomic<bool> leased{true};
   size_t capacity;
   std::atomic<uint64_t> cursor{0};  // total events ever written
   std::atomic<uint64_t> dropped{0};
@@ -50,6 +53,24 @@ using internal::TimelineThreadBuffer;
 // path pays one TLS load; the buffer itself lives in (and is owned by)
 // the leaked Timeline, so it outlives the thread.
 thread_local TimelineThreadBuffer* t_buffer = nullptr;
+
+// Hands the thread's ring back when the thread exits, so a process that
+// keeps starting short-lived pool workers holds as many rings as it ever
+// had emitting threads at once, not one per thread it ever started.
+struct RingLease {
+  RingLease() = default;
+  RingLease(const RingLease&) = delete;
+  RingLease& operator=(const RingLease&) = delete;
+  ~RingLease() {
+    if (buffer != nullptr) {
+      buffer->leased.store(false, std::memory_order_release);
+    }
+    t_buffer = nullptr;
+  }
+
+  TimelineThreadBuffer* buffer = nullptr;
+};
+thread_local RingLease t_lease;
 
 // Name requested via SetCurrentThreadName before the thread's first
 // emit; applied at registration.
@@ -121,15 +142,29 @@ size_t Timeline::capacity_per_thread() const {
 
 internal::TimelineThreadBuffer* Timeline::RegisterCurrentThread() {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto buffer = std::make_unique<TimelineThreadBuffer>(capacity_per_thread_);
-  buffer->tid = static_cast<uint32_t>(buffers_.size());
-  if (!t_pending_name.empty()) {
-    buffer->name = t_pending_name;
-    t_pending_name.clear();
-    t_pending_name.shrink_to_fit();
+  // Adopt the ring of an exited thread when one of the current capacity is
+  // free. It keeps its tid, cursor and events: the earlier owner's events
+  // stay until this thread overwrites them, each overwrite counted as a
+  // drop like any other wrap.
+  TimelineThreadBuffer* buffer = nullptr;
+  for (const auto& ring : buffers_) {
+    if (ring->capacity == capacity_per_thread_ &&
+        !ring->leased.load(std::memory_order_acquire)) {
+      buffer = ring.get();
+      buffer->leased.store(true, std::memory_order_relaxed);
+      break;
+    }
   }
-  buffers_.push_back(std::move(buffer));
-  return buffers_.back().get();
+  if (buffer == nullptr) {
+    buffers_.push_back(
+        std::make_unique<TimelineThreadBuffer>(capacity_per_thread_));
+    buffer = buffers_.back().get();
+    buffer->tid = static_cast<uint32_t>(buffers_.size() - 1);
+  }
+  buffer->name = std::move(t_pending_name);
+  t_pending_name = std::string();
+  t_lease.buffer = buffer;
+  return buffer;
 }
 
 void Timeline::Emit(std::string_view name, TimelinePhase phase,

@@ -25,7 +25,7 @@ enum class TimelinePhase : uint8_t {
 /// without any lifetime coupling to the instrumentation sites.
 struct TimelineEventSnapshot {
   std::string name;
-  uint32_t tid = 0;  ///< Timeline thread index (registration order).
+  uint32_t tid = 0;  ///< Timeline ring (track) index, in creation order.
   TimelinePhase phase = TimelinePhase::kComplete;
   int64_t start_nanos = 0;     ///< MonotonicNanos() time base.
   int64_t duration_nanos = 0;  ///< 0 for instants.
@@ -33,10 +33,10 @@ struct TimelineEventSnapshot {
   uint64_t arg1 = 0;           ///< Chunk index + 1 (0 = unset).
 };
 
-/// Everything one thread's ring buffer held at snapshot time.
+/// Everything one ring buffer (track) held at snapshot time.
 struct ThreadTimelineSnapshot {
   uint32_t tid = 0;
-  std::string name;        ///< Empty when the thread never named itself.
+  std::string name;        ///< Its latest owner's name; empty if unnamed.
   uint64_t dropped = 0;    ///< Events overwritten by ring wrap-around.
   std::vector<TimelineEventSnapshot> events;  ///< Oldest to newest.
 };
@@ -57,6 +57,12 @@ struct TimelineThreadBuffer;
 /// flight recorder, always holding the most recent window of activity —
 /// and every overwrite counts into `telemetry.events_dropped`.
 ///
+/// A ring outlives its thread: when the thread exits, the ring is handed
+/// back and the next thread to register adopts it (tid, name slot and the
+/// earlier owner's events, until overwritten). A track is therefore a
+/// ring, not a thread, and a process that keeps starting per-call pool
+/// workers holds only as many rings as it had emitting threads at once.
+///
 /// Event names must have process lifetime (instrumentation sites pass
 /// string literals); only the pointer is stored on the hot path.
 class Timeline {
@@ -74,7 +80,8 @@ class Timeline {
   void SetEnabled(bool enabled);
 
   /// Ring capacity (events) for threads that register after the call;
-  /// already-registered threads keep their rings. Clamped to >= 16.
+  /// already-registered threads keep their rings, and a free ring of
+  /// another capacity is not adopted. Clamped to >= 16.
   /// Default 8192 events per thread.
   void set_capacity_per_thread(size_t capacity);
   size_t capacity_per_thread() const;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
@@ -17,19 +16,11 @@ namespace {
 /// exhaust process resources.
 constexpr size_t kMaxThreads = 256;
 
-// Identifies the pool (and worker slot) owning the current thread, so
-// Submit from inside a task can use the worker-local LIFO fast path.
-thread_local ThreadPool* t_pool = nullptr;
-thread_local size_t t_worker_index = 0;
-
 }  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
   const size_t n = std::max<size_t>(1, std::min(num_threads, kMaxThreads));
-  queues_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
+  stats_.workers.resize(n);
   threads_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     threads_.emplace_back([this, i] { RunWorker(i); });
@@ -38,11 +29,12 @@ ThreadPool::ThreadPool(size_t num_threads) {
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
   wake_cv_.notify_all();
   for (std::thread& thread : threads_) thread.join();
+  PublishStats();
 }
 
 void ThreadPool::Push(std::function<void()> task) {
@@ -51,114 +43,55 @@ void ThreadPool::Push(std::function<void()> task) {
   // Clock read only when someone is listening; a zero timestamp tells the
   // pop side to skip the latency sample.
   if (telemetry::Enabled()) item.submit_nanos = telemetry::MonotonicNanos();
-  tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (t_pool == this) {
-    // Spawned from inside a worker: front of the own deque (LIFO).
-    WorkerQueue& queue = *queues_[t_worker_index];
-    std::lock_guard<std::mutex> lock(queue.mutex);
-    queue.tasks.push_front(std::move(item));
-    const uint64_t depth = queue.tasks.size();
-    if (depth > queue.deque_high_water.load(std::memory_order_relaxed)) {
-      queue.deque_high_water.store(depth, std::memory_order_relaxed);
-    }
-  } else {
-    size_t target;
-    {
-      std::lock_guard<std::mutex> lock(wake_mutex_);
-      target = next_queue_;
-      next_queue_ = (next_queue_ + 1) % queues_.size();
-    }
-    WorkerQueue& queue = *queues_[target];
-    std::lock_guard<std::mutex> lock(queue.mutex);
-    queue.tasks.push_back(std::move(item));
-    const uint64_t depth = queue.tasks.size();
-    if (depth > queue.deque_high_water.load(std::memory_order_relaxed)) {
-      queue.deque_high_water.store(depth, std::memory_order_relaxed);
-    }
-  }
   {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    ++queued_;
+    std::lock_guard<std::mutex> lock(mutex_);
+    tasks_.push_back(std::move(item));
+    ++stats_.tasks_submitted;
   }
   wake_cv_.notify_one();
 }
 
-bool ThreadPool::TryPop(size_t index, Item* item) {
-  WorkerQueue& own = *queues_[index];
-  {
-    std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.tasks.empty()) {
-      *item = std::move(own.tasks.front());
-      own.tasks.pop_front();
-      return true;
-    }
-  }
-  // Steal from the back of a sibling's deque, scanning from the next
-  // worker around the ring.
-  for (size_t i = 1; i < queues_.size(); ++i) {
-    WorkerQueue& victim = *queues_[(index + i) % queues_.size()];
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (!victim.tasks.empty()) {
-      *item = std::move(victim.tasks.back());
-      victim.tasks.pop_back();
-      own.steals.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  if (queues_.size() > 1) {
-    own.failed_steal_scans.fetch_add(1, std::memory_order_relaxed);
-  }
-  return false;
-}
-
 void ThreadPool::RunWorker(size_t index) {
-  t_pool = this;
-  t_worker_index = index;
   if constexpr (telemetry::kCompiledIn) {
     char name[32];
     std::snprintf(name, sizeof(name), "worker-%zu", index);
     telemetry::Timeline::SetCurrentThreadName(name);
   }
   static const telemetry::SpanSite task_site("pool.task");
-  WorkerQueue& own = *queues_[index];
   for (;;) {
     Item item;
-    if (TryPop(index, &item)) {
-      {
-        std::lock_guard<std::mutex> lock(wake_mutex_);
-        --queued_;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (tasks_.empty() && !stop_) {
+        const auto idle_start = std::chrono::steady_clock::now();
+        wake_cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+        stats_.workers[index].idle_nanos += static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - idle_start)
+                .count());
       }
-      if (item.submit_nanos != 0 && telemetry::Enabled()) {
-        static telemetry::Histogram& latency =
-            telemetry::GetHistogram("pool.submit_to_start.nanos");
-        const int64_t waited = telemetry::MonotonicNanos() - item.submit_nanos;
-        latency.Observe(static_cast<uint64_t>(waited < 0 ? 0 : waited));
-      }
+      // Drain before stopping: a worker leaves only once the queue is
+      // empty, so every submitted task runs.
+      if (tasks_.empty()) return;
+      item = std::move(tasks_.front());
+      tasks_.pop_front();
       // Tally before running: fn() fulfills the task's future, and a
       // caller returning from get() may snapshot stats immediately — the
       // count must already be there.
-      own.tasks_executed.fetch_add(1, std::memory_order_relaxed);
-      {
-        // With the timeline on this puts one pool.task slice per task on
-        // this worker's track, so the gaps between slices *are* the
-        // worker's idle/starvation.
-        telemetry::ScopedSpan task_span(task_site);
-        item.fn();
-      }
-      continue;
+      ++stats_.workers[index].tasks_executed;
     }
-    std::unique_lock<std::mutex> lock(wake_mutex_);
-    if (queued_ > 0) continue;  // lost a pop race; retry immediately
-    if (stop_) return;
-    const auto idle_start = std::chrono::steady_clock::now();
-    wake_cv_.wait(lock, [this] { return stop_ || queued_ > 0; });
-    own.idle_nanos.fetch_add(
-        static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - idle_start)
-                .count()),
-        std::memory_order_relaxed);
-    if (queued_ == 0 && stop_) return;
+    if (item.submit_nanos != 0 && telemetry::Enabled()) {
+      static telemetry::Histogram& latency =
+          telemetry::GetHistogram("pool.submit_to_start.nanos");
+      const int64_t waited = telemetry::MonotonicNanos() - item.submit_nanos;
+      latency.Observe(static_cast<uint64_t>(waited < 0 ? 0 : waited));
+    }
+    // With the timeline on this puts one pool.task slice per task on this
+    // worker's track, so the gaps between slices *are* the worker's idle
+    // time. The task and its captures die at the end of the iteration,
+    // outside the lock.
+    telemetry::ScopedSpan task_span(task_site);
+    item.fn();
   }
 }
 
@@ -168,61 +101,31 @@ uint64_t ThreadPool::StatsSnapshot::TotalExecuted() const {
   return total;
 }
 
-uint64_t ThreadPool::StatsSnapshot::TotalSteals() const {
-  uint64_t total = 0;
-  for (const Worker& w : workers) total += w.steals;
-  return total;
-}
-
 uint64_t ThreadPool::StatsSnapshot::TotalIdleNanos() const {
   uint64_t total = 0;
   for (const Worker& w : workers) total += w.idle_nanos;
   return total;
 }
 
-uint64_t ThreadPool::StatsSnapshot::MaxDequeHighWater() const {
-  uint64_t max = 0;
-  for (const Worker& w : workers) max = std::max(max, w.deque_high_water);
-  return max;
-}
-
 ThreadPool::StatsSnapshot ThreadPool::Stats() const {
-  StatsSnapshot snapshot;
-  snapshot.tasks_submitted = tasks_submitted_.load(std::memory_order_relaxed);
-  snapshot.workers.reserve(queues_.size());
-  for (const auto& queue : queues_) {
-    StatsSnapshot::Worker worker;
-    worker.tasks_executed =
-        queue->tasks_executed.load(std::memory_order_relaxed);
-    worker.steals = queue->steals.load(std::memory_order_relaxed);
-    worker.failed_steal_scans =
-        queue->failed_steal_scans.load(std::memory_order_relaxed);
-    worker.idle_nanos = queue->idle_nanos.load(std::memory_order_relaxed);
-    worker.deque_high_water =
-        queue->deque_high_water.load(std::memory_order_relaxed);
-    snapshot.workers.push_back(worker);
-  }
-  return snapshot;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return stats_;
 }
 
-void ThreadPool::PublishStats(std::string_view prefix) const {
+void ThreadPool::PublishStats() const {
   if (!telemetry::Enabled()) return;
+  static telemetry::Counter& submitted =
+      telemetry::GetCounter("pool.tasks_submitted");
+  static telemetry::Counter& executed =
+      telemetry::GetCounter("pool.tasks_executed");
+  static telemetry::Counter& idle = telemetry::GetCounter("pool.idle_nanos");
+  static telemetry::Histogram& worker_idle =
+      telemetry::GetHistogram("pool.worker.idle_nanos");
   const StatsSnapshot stats = Stats();
-  const std::string base(prefix);
-  telemetry::GetCounter(base + ".tasks_submitted").Add(stats.tasks_submitted);
-  telemetry::GetCounter(base + ".tasks_executed").Add(stats.TotalExecuted());
-  telemetry::GetCounter(base + ".steals").Add(stats.TotalSteals());
-  uint64_t failed = 0;
-  for (const auto& w : stats.workers) failed += w.failed_steal_scans;
-  telemetry::GetCounter(base + ".failed_steal_scans").Add(failed);
-  telemetry::GetCounter(base + ".idle_nanos").Add(stats.TotalIdleNanos());
-  telemetry::Histogram& idle = telemetry::GetHistogram(base + ".worker.idle_nanos");
-  telemetry::Histogram& high_water =
-      telemetry::GetHistogram(base + ".deque_high_water");
-  for (const auto& w : stats.workers) {
-    idle.Observe(w.idle_nanos);
-    high_water.Observe(w.deque_high_water);
-  }
+  submitted.Add(stats.tasks_submitted);
+  executed.Add(stats.TotalExecuted());
+  idle.Add(stats.TotalIdleNanos());
+  for (const auto& w : stats.workers) worker_idle.Observe(w.idle_nanos);
 }
 
 size_t ResolveNumThreads(uint32_t requested) {

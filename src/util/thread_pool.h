@@ -1,7 +1,6 @@
 #ifndef ISOBAR_UTIL_THREAD_POOL_H_
 #define ISOBAR_UTIL_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -9,7 +8,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -17,25 +15,22 @@
 
 namespace isobar {
 
-/// Fixed-size thread pool with per-worker deques and work stealing, sized
-/// for the chunk pipeline: a handful of CPU-bound tasks in flight per
-/// worker, submitted either from outside the pool (the pipeline's writer
-/// loop) or from inside a running task.
+/// Fixed-size thread pool with one FIFO queue, sized for the chunk
+/// pipeline: a handful of coarse, independent CPU-bound tasks in flight
+/// per worker, submitted from outside the pool and consumed in submission
+/// order (the container writer's window, Decompress's record loop, the
+/// job queue's dispatcher).
 ///
-/// Scheduling discipline:
-///  * External submissions are distributed round-robin across the worker
-///    deques (appended at the back), so a burst of chunk tasks spreads
-///    over the pool without a contended central queue.
-///  * A task submitted from inside a worker goes to the *front* of that
-///    worker's own deque (LIFO — the spawning task's data is still
-///    cache-hot).
-///  * A worker pops from the front of its own deque; when that is empty it
-///    steals from the *back* of a sibling's deque (the task least likely
-///    to be in the sibling's cache).
+/// Scheduling discipline: one mutex-guarded deque and one condition
+/// variable. Every submission goes to the back and an idle worker takes
+/// the front, so tasks *start* in submission order. That is the order an
+/// in-order consumer waits in: the chunk it needs first is also the first
+/// to run, never overtaken by a newer one. A task may submit further
+/// tasks; they queue behind everything submitted before them.
 ///
-/// With a single worker this degrades to strict FIFO execution of external
-/// submissions. Tasks run to completion; the pool never aborts a running
-/// task. Destruction drains every queued task first, then joins.
+/// Tasks run to completion; the pool never aborts a running task.
+/// Destruction drains every queued task first, then joins, then folds the
+/// pool's tallies into the global metrics registry.
 ///
 /// Exceptions thrown by a task are captured into the future returned by
 /// Submit (the worker thread never terminates the process).
@@ -44,7 +39,8 @@ class ThreadPool {
   /// Spawns `num_threads` workers (clamped to at least 1).
   explicit ThreadPool(size_t num_threads);
 
-  /// Drains all queued tasks, then joins every worker.
+  /// Drains all queued tasks, joins every worker, then publishes the
+  /// tallies (see PublishStats).
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -52,51 +48,30 @@ class ThreadPool {
 
   size_t size() const { return threads_.size(); }
 
-  /// Point-in-time scheduling counters. The plain tallies (submitted,
-  /// executed, steals, high-water, idle time) are kept unconditionally —
-  /// they are relaxed atomic bumps on paths that already hold a lock, so
-  /// they cost nothing measurable and stay meaningful even in
-  /// ISOBAR_TELEMETRY=OFF builds; only the submit-to-start latency
-  /// histogram (which needs clock reads on the hot path) is
-  /// telemetry-gated.
+  /// Point-in-time scheduling tallies. They are kept unconditionally,
+  /// under the queue lock each task already takes, so they cost nothing
+  /// measurable and stay meaningful even in ISOBAR_TELEMETRY=OFF builds;
+  /// only the submit-to-start latency histogram (which needs clock reads
+  /// on the hot path) is telemetry-gated.
   ///
   /// Accounting invariant: after all submitted futures resolved,
-  /// tasks_submitted == sum of workers[i].tasks_executed, and a task
-  /// counts for the worker that *ran* it — steals tally where the thief
-  /// ran, not where the task was queued.
+  /// tasks_submitted == sum of workers[i].tasks_executed.
   struct StatsSnapshot {
     struct Worker {
       uint64_t tasks_executed = 0;
-      /// Tasks this worker obtained from a sibling's deque.
-      uint64_t steals = 0;
-      /// Full steal scans (own deque empty, every sibling checked) that
-      /// found nothing. Zero on a single-worker pool.
-      uint64_t failed_steal_scans = 0;
       /// Time spent asleep waiting for work.
       uint64_t idle_nanos = 0;
-      /// Deepest this worker's deque has ever been.
-      uint64_t deque_high_water = 0;
     };
 
     uint64_t tasks_submitted = 0;
     std::vector<Worker> workers;
 
     uint64_t TotalExecuted() const;
-    uint64_t TotalSteals() const;
     uint64_t TotalIdleNanos() const;
-    uint64_t MaxDequeHighWater() const;
   };
 
   /// Safe to call at any time, including while tasks run.
   StatsSnapshot Stats() const;
-
-  /// Folds the current stats into the global metrics registry (counters
-  /// `<prefix>.tasks_submitted` / `.tasks_executed` / `.steals` /
-  /// `.failed_steal_scans` / `.idle_nanos`, histograms
-  /// `<prefix>.worker.idle_nanos` / `<prefix>.deque_high_water` observed
-  /// once per worker). Pipelines call this right before pool teardown so
-  /// the numbers outlive the pool; no-op when telemetry is disabled.
-  void PublishStats(std::string_view prefix = "pool") const;
 
   /// Schedules `fn` and returns a future for its result. `fn` must be
   /// invocable with no arguments; its return value (or exception) is
@@ -121,36 +96,23 @@ class ThreadPool {
     int64_t submit_nanos = 0;
   };
 
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<Item> tasks;
-
-    // Scheduling tallies for the worker with this queue's index (see
-    // StatsSnapshot for attribution semantics). Relaxed atomics: exact
-    // totals, no cross-counter ordering.
-    std::atomic<uint64_t> tasks_executed{0};
-    std::atomic<uint64_t> steals{0};
-    std::atomic<uint64_t> failed_steal_scans{0};
-    std::atomic<uint64_t> idle_nanos{0};
-    std::atomic<uint64_t> deque_high_water{0};  // written under `mutex`
-  };
-
   void Push(std::function<void()> task);
   void RunWorker(size_t index);
-  bool TryPop(size_t index, Item* item);
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> threads_;
-  std::atomic<uint64_t> tasks_submitted_{0};
+  /// Folds the final tallies into the global metrics registry: counters
+  /// `pool.tasks_submitted` / `pool.tasks_executed` / `pool.idle_nanos`
+  /// and the histogram `pool.worker.idle_nanos`, observed once per
+  /// worker. Runs once, from the destructor; no-op when telemetry is
+  /// disabled.
+  void PublishStats() const;
 
-  // Sleep/wake protocol: queued_ counts tasks sitting in some deque (not
-  // yet popped). It is only mutated under wake_mutex_, so a worker that
-  // observes queued_ == 0 while holding the lock can safely sleep.
-  std::mutex wake_mutex_;
+  mutable std::mutex mutex_;  ///< Guards the queue, stop_ and stats_.
   std::condition_variable wake_cv_;
-  size_t queued_ = 0;
+  std::deque<Item> tasks_;
   bool stop_ = false;
-  size_t next_queue_ = 0;  ///< round-robin cursor, guarded by wake_mutex_
+  StatsSnapshot stats_;
+
+  std::vector<std::thread> threads_;  ///< Last: workers use the above.
 };
 
 /// Resolves a user-facing thread-count option to an actual worker count:

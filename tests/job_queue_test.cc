@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "core/container.h"
 #include "core/isobar.h"
 #include "util/bytes.h"
 
@@ -235,6 +240,98 @@ TEST(JobQueueTest, ManyConcurrentJobsAllComplete) {
   const auto stats = queue.Stats();
   EXPECT_EQ(stats.admitted, static_cast<uint64_t>(kJobs));
   EXPECT_EQ(stats.completed, static_cast<uint64_t>(kJobs));
+}
+
+// Polls until every admitted job has completed, or `limit` passes. A job
+// that never completes would hang WaitIdle() and the queue's destructor,
+// so the exception tests wait here and leak the queue when it fails: the
+// suite then fails instead of hanging.
+bool DrainsWithin(const JobQueue& queue, std::chrono::seconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  for (;;) {
+    const JobQueue::StatsSnapshot stats = queue.Stats();
+    if (stats.completed == stats.admitted && stats.running == 0 &&
+        stats.queue_depth == 0) {
+      return true;
+    }
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// A 40-byte header-only v1 container that declares 2^60 + 1 eight-byte
+// elements. Under kZeroFill, Decompress sizes the declared shape and
+// throws std::length_error before it allocates anything.
+Bytes HugeDeclaredShapeContainer() {
+  container::Header header;
+  header.version = container::kVersionV1;
+  header.width = 8;
+  header.element_count = (uint64_t{1} << 60) + 1;
+  header.chunk_elements = uint64_t{1} << 25;
+  header.chunk_count = (header.element_count + header.chunk_elements - 1) /
+                       header.chunk_elements;
+  Bytes bytes;
+  container::AppendHeader(header, &bytes);
+  return bytes;
+}
+
+TEST(JobQueueTest, ThrowingJobFailsAndQueueKeepsServing) {
+  JobQueueOptions options;
+  options.num_threads = 1;
+  auto queue = std::make_unique<JobQueue>(options);
+
+  JobRequest hostile;
+  hostile.kind = JobKind::kDecompress;
+  hostile.input = HugeDeclaredShapeContainer();
+  ASSERT_EQ(hostile.input.size(), container::kHeaderSize);
+  hostile.decompress_options.on_chunk_error = ChunkErrorPolicy::kZeroFill;
+  std::mutex mutex;
+  std::vector<Status> statuses;
+  auto record = [&](JobResult result) {
+    std::lock_guard<std::mutex> lock(mutex);
+    statuses.push_back(result.status);
+  };
+  ASSERT_EQ(queue->Submit(1, hostile, record), Admission::kAdmitted);
+  ASSERT_EQ(queue->Submit(1, CompressRequest(), record), Admission::kAdmitted);
+  if (!DrainsWithin(*queue, std::chrono::seconds(20))) {
+    (void)queue.release();
+    FAIL() << "a throwing job wedged the queue";
+  }
+  const JobQueue::StatsSnapshot stats = queue->Stats();
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.running, 0u);
+  std::lock_guard<std::mutex> lock(mutex);
+  ASSERT_EQ(statuses.size(), 2u);
+  EXPECT_EQ(statuses[0].code(), StatusCode::kInternal);
+  EXPECT_TRUE(statuses[1].ok()) << statuses[1].ToString();
+}
+
+TEST(JobQueueTest, ThrowingCallbackDoesNotStallQueue) {
+  JobQueueOptions options;
+  options.num_threads = 1;
+  auto queue = std::make_unique<JobQueue>(options);
+
+  std::atomic<bool> second_ok{false};
+  ASSERT_EQ(queue->Submit(1, CompressRequest(),
+                          [](JobResult) {
+                            throw std::runtime_error("callback failed");
+                          }),
+            Admission::kAdmitted);
+  ASSERT_EQ(queue->Submit(1, CompressRequest(),
+                          [&](JobResult result) {
+                            second_ok = result.status.ok();
+                          }),
+            Admission::kAdmitted);
+  if (!DrainsWithin(*queue, std::chrono::seconds(20))) {
+    (void)queue.release();
+    FAIL() << "a throwing callback wedged the queue";
+  }
+  EXPECT_TRUE(second_ok.load());
+  queue->WaitIdle();
+  const JobQueue::StatsSnapshot stats = queue->Stats();
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.failed, 1u);  // The throwing callback's job.
 }
 
 }  // namespace

@@ -119,6 +119,27 @@ TEST_F(TimelineTest, RingWrapCountsDroppedEvents) {
             dropped_before + 84);
 }
 
+TEST_F(TimelineTest, ExitedWorkersHandTheirRingsOn) {
+  // Every pooled call starts fresh workers. A worker's ring goes back when
+  // it exits and the next call's workers adopt it, so 20 calls add the
+  // tracks of one call (four workers, plus this thread if it is new), not
+  // one per worker per call.
+  auto spec = FindDatasetSpec("s3d_vmag");
+  ASSERT_TRUE(spec.ok());
+  auto dataset = GenerateDataset(**spec, 40000);
+  ASSERT_TRUE(dataset.ok());
+  CompressOptions options;
+  options.chunk_elements = 10000;
+  options.num_threads = 4;
+  options.eupa.sample_elements = 2048;
+  const IsobarCompressor compressor(options);
+  const size_t tracks_before = Timeline::Global().Snapshot().size();
+  for (int call = 0; call < 20; ++call) {
+    ASSERT_TRUE(compressor.Compress(dataset->bytes(), dataset->width()).ok());
+  }
+  EXPECT_LE(Timeline::Global().Snapshot().size(), tracks_before + 5);
+}
+
 TEST_F(TimelineTest, PerThreadOrderingHoldsUnderLoadedPool) {
   // Eight workers hammer spans concurrently while the main thread takes
   // snapshots mid-run. Each thread's ring must come back oldest-to-newest
