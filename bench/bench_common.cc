@@ -84,7 +84,6 @@ Args ParseArgs(int argc, char** argv) {
   }
   if (!args.telemetry_json.empty()) {
     telemetry::SetEnabled(true);
-    telemetry::TraceRecorder::Global().SetEnabled(true);
     // The report's "spans" are the Timeline's events.
     telemetry::Timeline::Global().SetEnabled(true);
     TelemetryDumpPath() = args.telemetry_json;

@@ -6,15 +6,12 @@
 //                 [--codec=<name>] [--lin=row|column]
 //                 [--tau=1.42] [--chunk=375000] [--threads=N] [--verbose]
 //                 [--metrics-json=<path>] [--metrics-csv=<path>]
-//                 [--trace=<path>] [--trace-timeline=<path>]
-//                 [--timeline-capacity=N] [--trace-max-pipelines=N]
-//                 [--trace-max-chunks=N]
+//                 [--trace-timeline=<path>] [--timeline-capacity=N]
 //   ./isobar_cli d <input.isobar> <output> [--threads=N]
 //                 [--salvage=skip|zero-fill]
 //                 [--range=<first>:<end>] [--columns=c0,c1,...]
 //                 [--metrics-json=<path>] [--metrics-csv=<path>]
-//                 [--trace=<path>] [--trace-timeline=<path>]
-//                 [--timeline-capacity=N]
+//                 [--trace-timeline=<path>] [--timeline-capacity=N]
 //
 // --salvage decodes damaged containers best-effort: a chunk that fails to
 // parse, decode, or checksum is skipped (or replaced with zero bytes)
@@ -27,26 +24,32 @@
 //   ./isobar_cli info <input.isobar>
 //   ./isobar_cli verify <input.isobar>
 //
-// The telemetry flags enable the metrics/span/trace subsystem for the run
-// and dump it afterwards ("-" writes to stdout): --metrics-json writes the
-// combined report (counters, histograms, the timeline's span events,
-// per-chunk pipeline traces), --metrics-csv the flat instrument table, --trace the per-chunk
-// trace CSV, --trace-timeline the cross-thread event timeline as Chrome
-// trace-event JSON (load it in chrome://tracing or Perfetto, or summarize
-// it with isobar_stat). --timeline-capacity bounds each thread's event
-// ring, --trace-max-pipelines/--trace-max-chunks bound the chunk-trace
-// recorder; overflow counts into the telemetry.events_dropped counter.
-// See docs/OBSERVABILITY.md for the schema.
+// info lists the container header and one row per chunk record (elements,
+// analyzer verdict, stored-raw flag, byte-column mask, solver and raw
+// section bytes): where the bytes went, read from the container itself.
+//
+// The telemetry flags enable the metrics/span subsystem for the run and
+// dump it afterwards ("-" writes to stdout): --metrics-json writes the
+// combined report (counters, histograms and the timeline's span events),
+// --metrics-csv the flat instrument table, --trace-timeline the
+// cross-thread event timeline as Chrome trace-event JSON (load it in
+// chrome://tracing or Perfetto, or summarize it with isobar_stat).
+// --timeline-capacity bounds each thread's event ring; overflow counts
+// into the telemetry.events_dropped counter. See docs/OBSERVABILITY.md
+// for the schema.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compressors/registry.h"
 #include "core/isobar.h"
+#include "core/read_plan.h"
 #include "core/stream.h"
 #include "io/file_io.h"
 #include "linearize/transpose.h"
@@ -76,31 +79,19 @@ bool WriteFile(const char* path, ByteSpan data) {
 struct TelemetryFlags {
   std::string metrics_json;
   std::string metrics_csv;
-  std::string trace_csv;
   std::string timeline_json;
   /// Set when a telemetry flag was given with an empty path; the command
   /// should exit with a usage error instead of silently dropping output.
   bool parse_error = false;
 
-  /// Consumes `--metrics-json= / --metrics-csv= / --trace= /
-  /// --trace-timeline=` and the recorder-capacity knobs; returns false
-  /// for any other argument.
+  /// Consumes `--metrics-json= / --metrics-csv= / --trace-timeline=`
+  /// and `--timeline-capacity=`; returns false for any other argument.
   bool Parse(const char* arg) {
-    // Capacity knobs first: they tune the bounded recorders but do not by
-    // themselves switch telemetry on.
+    // The capacity knob resizes the Timeline rings but does not by itself
+    // switch telemetry on.
     if (std::strncmp(arg, "--timeline-capacity=", 20) == 0) {
       telemetry::Timeline::Global().set_capacity_per_thread(
           static_cast<size_t>(std::strtoull(arg + 20, nullptr, 10)));
-      return true;
-    }
-    if (std::strncmp(arg, "--trace-max-pipelines=", 22) == 0) {
-      telemetry::TraceRecorder::Global().set_max_pipelines(
-          static_cast<size_t>(std::strtoull(arg + 22, nullptr, 10)));
-      return true;
-    }
-    if (std::strncmp(arg, "--trace-max-chunks=", 19) == 0) {
-      telemetry::TraceRecorder::Global().set_max_chunks_per_pipeline(
-          static_cast<size_t>(std::strtoull(arg + 19, nullptr, 10)));
       return true;
     }
     std::string* dest;
@@ -110,9 +101,6 @@ struct TelemetryFlags {
     } else if (std::strncmp(arg, "--metrics-csv=", 14) == 0) {
       dest = &metrics_csv;
       *dest = arg + 14;
-    } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-      dest = &trace_csv;
-      *dest = arg + 8;
     } else if (std::strncmp(arg, "--trace-timeline=", 17) == 0) {
       dest = &timeline_json;
       *dest = arg + 17;
@@ -125,7 +113,6 @@ struct TelemetryFlags {
       return true;
     }
     telemetry::SetEnabled(true);
-    telemetry::TraceRecorder::Global().SetEnabled(true);
     // The report's "spans" and the Chrome trace both read the Timeline.
     if (dest == &timeline_json || dest == &metrics_json) {
       telemetry::Timeline::Global().SetEnabled(true);
@@ -157,11 +144,6 @@ struct TelemetryFlags {
                                        telemetry::MetricsRegistry::Global()
                                            .Snapshot()));
     }
-    if (!trace_csv.empty()) {
-      ok &= WriteText(trace_csv,
-                      telemetry::TraceToCsv(
-                          telemetry::TraceRecorder::Global().Snapshot()));
-    }
     if (!timeline_json.empty()) {
       ok &= WriteText(timeline_json,
                       telemetry::TimelineToJson(
@@ -189,15 +171,12 @@ int Usage(const char* argv0) {
       "          [--codec=%s] [--lin=row|column]\n"
       "          [--tau=1.42] [--chunk=375000] [--threads=N] [--verbose]\n"
       "          [--metrics-json=<path>] [--metrics-csv=<path>]\n"
-      "          [--trace=<path>] [--trace-timeline=<path>]\n"
-      "          [--timeline-capacity=N] [--trace-max-pipelines=N]\n"
-      "          [--trace-max-chunks=N]\n"
+      "          [--trace-timeline=<path>] [--timeline-capacity=N]\n"
       "       %s d <input.isobar> <output> [--threads=N]\n"
       "          [--salvage=skip|zero-fill]\n"
       "          [--range=<first>:<end>] [--columns=c0,c1,...]\n"
       "          [--metrics-json=<path>] [--metrics-csv=<path>]\n"
-      "          [--trace=<path>] [--trace-timeline=<path>]\n"
-      "          [--timeline-capacity=N]\n"
+      "          [--trace-timeline=<path>] [--timeline-capacity=N]\n"
       "--threads=N uses N worker threads for the chunk pipeline (0 = one\n"
       "per hardware thread, the default; 1 = serial). Output is identical\n"
       "for every thread count. --verbose prints the EUPA decision table\n"
@@ -205,7 +184,7 @@ int Usage(const char* argv0) {
       "ran: under speed preference, those below a faster-ranked codec\n"
       "that met the ratio floor; MB/s is reported, never decided on), the\n"
       "EUPA phase time, the thread-pool scheduling summary, and the top-3\n"
-      "slowest chunks.\n"
+      "slowest chunks, read off the event timeline it switches on.\n"
       "--trace-timeline writes the cross-thread event timeline as Chrome\n"
       "trace-event JSON (chrome://tracing / Perfetto / isobar_stat).\n"
       "--salvage recovers what it can from a damaged container: bad\n"
@@ -215,6 +194,9 @@ int Usage(const char* argv0) {
       "containers seek straight to the covering chunks via the index\n"
       "footer). --columns=c0,c1,... writes only those byte-planes,\n"
       "concatenated in ascending column order.\n"
+      "info lists the header and one row per chunk record: elements,\n"
+      "analyzer verdict, stored-raw flag, byte-column mask, solver and raw\n"
+      "bytes.\n"
       "       %s info <input.isobar>\n"
       "       %s verify <input.isobar>\n",
       argv0, CodecNameList().c_str(), argv0, argv0, argv0);
@@ -276,39 +258,46 @@ void PrintPoolStats() {
                idle < 0 ? 0.0 : static_cast<double>(idle) / 1e9);
 }
 
-/// --verbose: the top-3 slowest chunks across the run's pipeline traces,
-/// by summed stage time — the chunks a throughput investigation should
-/// look at first.
+/// --verbose: the top-3 slowest chunks of the run, by their
+/// compress.chunk slice, with the stage slices inside it. Read off the
+/// Timeline, so it sees the chunks the rings still hold
+/// (--timeline-capacity).
 void PrintSlowestChunks() {
   struct SlowChunk {
-    uint64_t chunk_index;
-    uint64_t input_bytes;
-    double analysis, partition, codec;
-    double total() const { return analysis + partition + codec; }
+    uint64_t chunk = 0;
+    int64_t total = 0, analyze = 0, partition = 0, solve = 0;
   };
-  std::vector<SlowChunk> chunks;
-  for (const auto& pipeline : telemetry::TraceRecorder::Global().Snapshot()) {
-    for (const auto& chunk : pipeline.chunks) {
-      chunks.push_back({chunk.chunk_index, chunk.input_bytes,
-                        chunk.analysis_seconds, chunk.partition_seconds,
-                        chunk.codec_seconds});
+  // Keyed by the slices' {pipeline, chunk + 1} args.
+  std::map<std::pair<uint64_t, uint64_t>, SlowChunk> by_chunk;
+  for (const auto& thread : telemetry::Timeline::Global().Snapshot()) {
+    for (const auto& event : thread.events) {
+      if (event.arg1 == 0) continue;
+      SlowChunk& c = by_chunk[{event.arg0, event.arg1}];
+      c.chunk = event.arg1 - 1;
+      if (event.name == "compress.chunk") c.total = event.duration_nanos;
+      if (event.name == "chunk.analyze") c.analyze = event.duration_nanos;
+      if (event.name == "chunk.partition") c.partition = event.duration_nanos;
+      if (event.name == "chunk.solve") c.solve = event.duration_nanos;
     }
+  }
+  std::vector<SlowChunk> chunks;
+  for (const auto& [key, chunk] : by_chunk) {
+    if (chunk.total > 0) chunks.push_back(chunk);
   }
   if (chunks.empty()) return;
   const size_t top = std::min<size_t>(3, chunks.size());
   std::partial_sort(chunks.begin(), chunks.begin() + top, chunks.end(),
                     [](const SlowChunk& a, const SlowChunk& b) {
-                      return a.total() > b.total();
+                      return a.total > b.total;
                     });
   std::fprintf(stderr, "slowest chunks:\n");
   for (size_t i = 0; i < top; ++i) {
     const SlowChunk& c = chunks[i];
     std::fprintf(stderr,
                  "  chunk %llu: %.3fs (analyze %.3fs, partition %.3fs, "
-                 "solve %.3fs) over %llu bytes\n",
-                 static_cast<unsigned long long>(c.chunk_index), c.total(),
-                 c.analysis, c.partition, c.codec,
-                 static_cast<unsigned long long>(c.input_bytes));
+                 "solve %.3fs)\n",
+                 static_cast<unsigned long long>(c.chunk), c.total / 1e9,
+                 c.analyze / 1e9, c.partition / 1e9, c.solve / 1e9);
   }
 }
 
@@ -324,9 +313,9 @@ int Compress(int argc, char** argv) {
     } else if (std::strcmp(arg, "--verbose") == 0) {
       verbose = true;
       // The verbose summaries are derived from telemetry (pool counters,
-      // chunk traces), so verbose switches the subsystem on for the run.
+      // chunk slices), so verbose switches it and the Timeline on.
       telemetry::SetEnabled(true);
-      telemetry::TraceRecorder::Global().SetEnabled(true);
+      telemetry::Timeline::Global().SetEnabled(true);
     } else if (std::strncmp(arg, "--width=", 8) == 0) {
       width = static_cast<size_t>(std::atoi(arg + 8));
     } else if (std::strcmp(arg, "--pref=speed") == 0) {
@@ -519,59 +508,70 @@ int Info(char** argv) {
     std::fprintf(stderr, "cannot read '%s'\n", argv[2]);
     return 1;
   }
-  size_t offset = 0;
-  auto header = container::ParseHeader(input, &offset);
-  if (!header.ok()) {
-    std::fprintf(stderr, "%s\n", header.status().ToString().c_str());
+  // The readers' own plan: it adopts a v2 footer's totals and otherwise
+  // walks the records, which a streamed header does not count.
+  auto plan = ReadPlan::Open(input, DecompressOptions{});
+  if (!plan.ok()) {
+    std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
     return 1;
   }
-  std::printf("ISOBAR container v%u\n", header->version);
-  // A v2 chunk-index footer makes the container range/column addressable,
-  // and supplies the totals a streamed (sentinel-header) container lacks.
-  bool indexed = false;
-  if (header->version >= container::kVersion) {
-    auto index = container::ParseFooter(input, *header);
-    if (index.ok()) {
-      indexed = true;
-      header->element_count = index->element_count;
-      header->chunk_count = index->entries.size();
-    }
-  }
+  const container::Header& header = plan->header();
+  std::printf("ISOBAR container v%u\n", header.version);
   std::printf("  chunk index   : %s\n",
-              indexed ? "present (range/column addressable)"
-                      : "absent (sequential access only)");
-  std::printf("  element width : %u bytes\n", header->width);
-  std::printf("  elements      : %llu\n",
-              static_cast<unsigned long long>(header->element_count));
-  std::printf("  chunks        : %llu x %llu elements\n",
-              static_cast<unsigned long long>(header->chunk_count),
-              static_cast<unsigned long long>(header->chunk_elements));
+              plan->indexed() ? "present (range/column addressable)"
+                              : "absent (sequential access only)");
+  std::printf("  element width : %u bytes\n", header.width);
   std::printf("  solver        : %s, %s linearization (%s preference)\n",
-              std::string(CodecIdToString(header->codec)).c_str(),
-              std::string(LinearizationToString(header->linearization))
+              std::string(CodecIdToString(header.codec)).c_str(),
+              std::string(LinearizationToString(header.linearization))
                   .c_str(),
-              std::string(PreferenceToString(header->preference)).c_str());
-  std::printf("  analyzer tau  : %.2f\n", header->tau_centi / 100.0);
+              std::string(PreferenceToString(header.preference)).c_str());
+  std::printf("  analyzer tau  : %.2f\n", header.tau_centi / 100.0);
 
-  uint64_t improvable = 0, stored_raw = 0, compressed_bytes = 0,
-           raw_bytes = 0;
-  for (uint64_t i = 0; i < header->chunk_count; ++i) {
-    auto chunk = container::ParseChunkHeader(input, &offset);
-    if (!chunk.ok()) {
-      std::fprintf(stderr, "chunk %llu: %s\n",
-                   static_cast<unsigned long long>(i),
-                   chunk.status().ToString().c_str());
+  uint64_t elements = 0, improvable = 0, stored_raw = 0,
+           compressed_bytes = 0, raw_bytes = 0;
+  const std::vector<PlannedRecord> records = plan->LocateAll();
+  for (const PlannedRecord& record : records) {
+    if (!record.damage.ok()) {
+      std::fprintf(stderr, "%s\n", record.damage.ToString().c_str());
       return 1;
     }
-    if (!(chunk->flags & container::kChunkUndetermined)) ++improvable;
-    if (chunk->flags & container::kChunkStoredRaw) ++stored_raw;
-    compressed_bytes += chunk->compressed_size;
-    raw_bytes += chunk->raw_size;
-    offset += chunk->compressed_size + chunk->raw_size;
+    const container::ChunkHeader& chunk = record.header;
+    const bool undetermined = chunk.flags & container::kChunkUndetermined;
+    const bool raw = chunk.flags & container::kChunkStoredRaw;
+    std::printf(
+        "  chunk %llu: %llu elements, %s%s, mask 0x%llx, %llu solver bytes "
+        "+ %llu raw bytes\n",
+        static_cast<unsigned long long>(record.index),
+        static_cast<unsigned long long>(chunk.element_count),
+        undetermined ? "undetermined" : "improvable",
+        raw ? ", stored raw" : "",
+        static_cast<unsigned long long>(chunk.compressible_mask),
+        static_cast<unsigned long long>(chunk.compressed_size),
+        static_cast<unsigned long long>(chunk.raw_size));
+    elements += chunk.element_count;
+    improvable += !undetermined;
+    stored_raw += raw;
+    compressed_bytes += chunk.compressed_size;
+    raw_bytes += chunk.raw_size;
   }
+  if (plan->tail_lost()) {
+    std::fprintf(stderr, "%s\n", plan->tail().damage.ToString().c_str());
+    return 1;
+  }
+  if (plan->trailing_bytes() != 0) {
+    std::fprintf(stderr, "container: %llu trailing bytes after last chunk\n",
+                 static_cast<unsigned long long>(plan->trailing_bytes()));
+    return 1;
+  }
+  std::printf("  elements      : %llu\n",
+              static_cast<unsigned long long>(elements));
+  std::printf("  chunks        : %llu x %llu elements\n",
+              static_cast<unsigned long long>(records.size()),
+              static_cast<unsigned long long>(header.chunk_elements));
   std::printf("  improvable    : %llu of %llu chunks (%llu stored raw)\n",
               static_cast<unsigned long long>(improvable),
-              static_cast<unsigned long long>(header->chunk_count),
+              static_cast<unsigned long long>(records.size()),
               static_cast<unsigned long long>(stored_raw));
   std::printf("  payload       : %llu solver bytes + %llu raw noise bytes\n",
               static_cast<unsigned long long>(compressed_bytes),

@@ -6,15 +6,13 @@
 #include "core/partitioner.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
-#include "telemetry/trace_export.h"
 #include "util/crc32c.h"
 #include "util/scratch_arena.h"
 
 namespace isobar {
 
-Result<uint64_t> RunEupaPhase(const CompressOptions& options,
-                              ByteSpan training, ByteSpan probe, size_t width,
-                              CompressionStats* stats) {
+Status RunEupaPhase(const CompressOptions& options, ByteSpan training,
+                    ByteSpan probe, size_t width, CompressionStats* stats) {
   EupaOptions eupa = options.eupa;
   if (!eupa.forced_codec) eupa.forced_codec = ForcedCodecFromEnv();
   EupaDecision decision;
@@ -40,29 +38,12 @@ Result<uint64_t> RunEupaPhase(const CompressOptions& options,
       decision.linearization = *eupa.forced_linearization;
     }
   }
-  stats->decision = decision;
-
-  auto& recorder = telemetry::TraceRecorder::Global();
-  if (!recorder.enabled()) return uint64_t{0};
-  const uint64_t id = recorder.BeginPipeline(
-      std::string(CodecIdToString(decision.codec)),
-      std::string(LinearizationToString(decision.linearization)),
-      std::string(PreferenceToString(decision.preference)), width);
-  for (const CandidateEvaluation& eval : decision.evaluations) {
-    telemetry::CandidateTrace candidate;
-    candidate.codec = std::string(CodecIdToString(eval.codec));
-    candidate.linearization =
-        std::string(LinearizationToString(eval.linearization));
-    candidate.ratio = eval.ratio;
-    candidate.throughput_mbps = eval.throughput_mbps;
-    recorder.RecordCandidate(id, std::move(candidate));
-  }
-  return id;
+  stats->decision = std::move(decision);
+  return Status::OK();
 }
 
 Status EncodeChunk(const ChunkPipeline& pipeline, ByteSpan chunk, Bytes* out,
-                   CompressionStats* stats, telemetry::ChunkTrace* trace_out,
-                   uint64_t chunk_ordinal) {
+                   CompressionStats* stats, uint64_t chunk_ordinal) {
   static const telemetry::SpanSite chunk_site("compress.chunk");
   static const telemetry::SpanSite analyze_site("chunk.analyze");
   static const telemetry::SpanSite partition_site("chunk.partition");
@@ -70,10 +51,10 @@ Status EncodeChunk(const ChunkPipeline& pipeline, ByteSpan chunk, Bytes* out,
   const size_t width = pipeline.width;
   const uint64_t full_mask = FullMask(width);
   const uint64_t tag = chunk_ordinal + 1;
-  telemetry::ScopedSpan chunk_span(chunk_site, pipeline.trace_id, tag);
+  telemetry::ScopedSpan chunk_span(chunk_site, pipeline.pipeline_id, tag);
   const size_t record_base = out->size();
 
-  telemetry::ScopedSpan analyze_span(analyze_site, pipeline.trace_id, tag);
+  telemetry::ScopedSpan analyze_span(analyze_site, pipeline.pipeline_id, tag);
   ISOBAR_ASSIGN_OR_RETURN(AnalysisResult analysis,
                           pipeline.analyzer.Analyze(chunk, width));
   const double analysis_seconds = analyze_span.End();
@@ -103,7 +84,8 @@ Status EncodeChunk(const ChunkPipeline& pipeline, ByteSpan chunk, Bytes* out,
   Bytes& compressed = arena.buffer(ScratchArena::kCompressed);
 
   ByteSpan raw_section;
-  telemetry::ScopedSpan partition_span(partition_site, pipeline.trace_id, tag);
+  telemetry::ScopedSpan partition_span(partition_site, pipeline.pipeline_id,
+                                       tag);
   if (analysis.improvable()) {
     ISOBAR_RETURN_NOT_OK(PartitionDataInto(
         chunk, width, analysis.compressible_mask, pipeline.linearization,
@@ -119,7 +101,7 @@ Status EncodeChunk(const ChunkPipeline& pipeline, ByteSpan chunk, Bytes* out,
   const double partition_seconds = partition_span.End();
   if (stats != nullptr) stats->partition_seconds += partition_seconds;
 
-  telemetry::ScopedSpan solve_span(solve_site, pipeline.trace_id, tag);
+  telemetry::ScopedSpan solve_span(solve_site, pipeline.pipeline_id, tag);
   compressed.clear();  // Arena slot may hold the previous chunk's output.
   ISOBAR_RETURN_NOT_OK(pipeline.codec->Compress(gathered, &compressed));
   const double codec_seconds = solve_span.End();
@@ -153,31 +135,6 @@ Status EncodeChunk(const ChunkPipeline& pipeline, ByteSpan chunk, Bytes* out,
   output_bytes.Add(out->size() - record_base);
 
   arena.PublishStats();
-
-  auto& recorder = telemetry::TraceRecorder::Global();
-  if (pipeline.trace_id != 0 && recorder.enabled()) {
-    telemetry::ChunkTrace trace;
-    trace.element_count = chunk_header.element_count;
-    trace.input_bytes = chunk.size();
-    trace.output_bytes = out->size() - record_base;
-    trace.improvable = analysis.improvable();
-    trace.stored_raw = stored_raw;
-    trace.compressible_mask = analysis.compressible_mask;
-    trace.htc_fraction = analysis.htc_byte_fraction();
-    trace.solver_input_bytes = gathered.size();
-    trace.solver_output_bytes = chunk_header.compressed_size;
-    trace.raw_bytes = raw_section.size();
-    trace.analysis_seconds = analysis_seconds;
-    trace.partition_seconds = partition_seconds;
-    trace.codec_seconds = codec_seconds;
-    if (trace_out != nullptr) {
-      // Parallel pipeline: hand the record to the caller, whose writer
-      // stitches worker traces back into chunk order.
-      *trace_out = std::move(trace);
-    } else {
-      recorder.RecordChunk(pipeline.trace_id, std::move(trace));
-    }
-  }
   return Status::OK();
 }
 

@@ -7,7 +7,6 @@
 #include "core/isobar.h"
 #include "core/read_plan.h"
 #include "linearize/transpose.h"
-#include "telemetry/trace_export.h"
 #include "util/bytes.h"
 #include "util/status.h"
 
@@ -22,12 +21,11 @@ namespace isobar {
 /// unless codec and linearization are both forced, analyzes `probe` (a
 /// prefix of `training`) for the compressible mask and runs
 /// EupaSelector::Select on `training`. Empty training data falls back to
-/// the forced or default pipeline. Sets stats->decision, adds the probe +
-/// Select wall time to stats->eupa_seconds, and opens the pipeline trace
-/// with the candidate evidence; returns its id (0 when tracing is off).
-Result<uint64_t> RunEupaPhase(const CompressOptions& options,
-                              ByteSpan training, ByteSpan probe, size_t width,
-                              CompressionStats* stats);
+/// the forced or default pipeline. Sets stats->decision, with the
+/// candidate evidence, and adds the probe + Select wall time to
+/// stats->eupa_seconds.
+Status RunEupaPhase(const CompressOptions& options, ByteSpan training,
+                    ByteSpan probe, size_t width, CompressionStats* stats);
 
 /// The constants of one compress pipeline, fixed by its EUPA phase and
 /// shared by every chunk it encodes.
@@ -40,30 +38,23 @@ struct ChunkPipeline {
   /// decoder must agree on it for a given record.
   Linearization raw_linearization = Linearization::kRow;
   size_t width = 0;
-  /// Telemetry pipeline-trace id; 0 records no chunk traces.
-  uint64_t trace_id = 0;
+  /// Process-wide pipeline sequence number (1, 2, ... in start order);
+  /// tags the pipeline's Timeline slices.
+  uint64_t pipeline_id = 0;
 };
 
 /// Analyzes, partitions, and solver-compresses one chunk through
 /// `pipeline`, appending its container record ([chunk header][solver
 /// bytes][raw noise bytes]) to `*out`. Timing and verdict fields of
-/// `*stats` are accumulated (may be null). When `pipeline.trace_id` is
-/// nonzero and tracing is on, a telemetry::ChunkTrace record (verdict,
-/// partition map, stage timings, byte accounting) is appended to that
-/// pipeline's trace — unless `trace_out` is non-null, in which case the
-/// record is written there instead of into the global recorder. Pooled
-/// encodes use the out-param so the single writer can stitch
-/// worker-produced traces back into chunk order. The thread's ScratchArena
+/// `*stats` are accumulated (may be null). The thread's ScratchArena
 /// backs the gather / raw / compressed temporaries, so a worker encoding
 /// many chunks reuses the same steady-state allocations instead of
 /// reallocating per chunk. `chunk_ordinal` is the chunk's 0-based
 /// position in its pipeline, used only to tag the chunk's timeline events
-/// (so a trace viewer can follow one chunk across workers); it does not
-/// affect the encoding.
+/// with `{pipeline.pipeline_id, chunk_ordinal}` (so a trace viewer can
+/// follow one chunk across workers); it does not affect the encoding.
 Status EncodeChunk(const ChunkPipeline& pipeline, ByteSpan chunk, Bytes* out,
-                   CompressionStats* stats,
-                   telemetry::ChunkTrace* trace_out = nullptr,
-                   uint64_t chunk_ordinal = 0);
+                   CompressionStats* stats, uint64_t chunk_ordinal = 0);
 
 /// Prefixes a failed `status` with the failing record's position —
 /// "chunk 17 (container offset 123456): ..." — so corruption reports name

@@ -68,18 +68,25 @@ Bytes DrawTrainingSample(ByteSpan data, size_t width,
   // by up to runs-1 elements, starving the probe of its budget.
   const uint64_t base_run = want / runs;
   const uint64_t extra_runs = want % runs;
+  // Run r fills sample positions [drawn, drawn + per_run) and draws from
+  // the stratum of the input those positions scale to, at a random offset
+  // inside it. Strata are disjoint and at least a run long (n > want), so
+  // no element is sampled twice and runs stay in input order.
+  auto stratum_bound = [n, want](uint64_t position) {
+    return static_cast<uint64_t>(static_cast<unsigned __int128>(position) *
+                                 n / want);
+  };
   Bytes sample;
   sample.reserve(want * width);
   Xoshiro256 rng(options.seed);
-  for (uint64_t r = 0; r < runs && sample.size() < want * width; ++r) {
-    const uint64_t per_run =
-        std::max<uint64_t>(1, base_run + (r < extra_runs ? 1 : 0));
-    const uint64_t max_start = n - per_run;
-    const uint64_t start = max_start == 0 ? 0 : rng.NextBounded(max_start + 1);
-    const uint8_t* p = data.data() + start * width;
-    const uint64_t take =
-        std::min<uint64_t>(per_run, want - sample.size() / width);
-    sample.insert(sample.end(), p, p + take * width);
+  uint64_t drawn = 0;
+  for (uint64_t r = 0; r < runs && drawn < want; ++r) {
+    const uint64_t per_run = base_run + (r < extra_runs ? 1 : 0);
+    const uint64_t lo = stratum_bound(drawn);
+    const uint64_t slack = stratum_bound(drawn + per_run) - lo - per_run;
+    const uint8_t* p = data.data() + (lo + rng.NextBounded(slack + 1)) * width;
+    sample.insert(sample.end(), p, p + per_run * width);
+    drawn += per_run;
   }
   return sample;
 }

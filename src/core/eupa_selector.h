@@ -89,12 +89,14 @@ struct EupaDecision {
 };
 
 /// Draws up to `options.sample_elements` elements from `data` (elements of
-/// `width` bytes) as `options.sample_runs` contiguous element-aligned runs
-/// at deterministic pseudo-random offsets, concatenated. When the input
-/// holds at least sample_elements elements the sample is exactly
-/// sample_elements long — the division remainder is spread over the first
-/// runs instead of being floored away. Select() uses this internally;
-/// exposed so the sampling contract stays testable.
+/// `width` bytes) as `options.sample_runs` contiguous element-aligned runs,
+/// concatenated in input order. Each run sits at a deterministic
+/// pseudo-random offset inside its own stratum of the input, so the runs
+/// never overlap and no element is sampled twice. When the input holds at
+/// least sample_elements elements the sample is exactly sample_elements
+/// long — the division remainder is spread over the first runs instead of
+/// being floored away. Select() uses this internally; exposed so the
+/// sampling contract stays testable.
 Bytes DrawTrainingSample(ByteSpan data, size_t width,
                          const EupaOptions& options);
 

@@ -412,10 +412,14 @@ Result<Bytes> IsobarCompressor::DecompressColumns(
   const std::vector<PlannedRecord> records = plan.LocateAll();
   stats->parse_seconds += parse_timer.ElapsedSeconds();
   const uint64_t located = records.empty() ? 0 : records.back().element_end();
-  // Planes keep a counted container's declared length, so a lost tail
-  // leaves holes instead of shifting planes.
+  // Under a salvage policy, planes keep a counted container's declared
+  // length, so a lost tail leaves holes instead of shifting planes. Under
+  // kFail a lost tail fails the read, so only located records are sized:
+  // a bare header cannot declare the allocation.
   const uint64_t total =
-      plan.counted() ? plan.header().element_count : located;
+      plan.counted() && options.on_chunk_error != ChunkErrorPolicy::kFail
+          ? plan.header().element_count
+          : located;
   const size_t requested =
       static_cast<size_t>(PopcountMask(column_mask, width));
   uint64_t out_bytes = 0;

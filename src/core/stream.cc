@@ -1,6 +1,7 @@
 #include "core/stream.h"
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 
 #include "compressors/registry.h"
@@ -9,7 +10,6 @@
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
 #include "telemetry/timeline.h"
-#include "telemetry/trace_export.h"
 #include "util/stopwatch.h"
 
 namespace isobar {
@@ -58,9 +58,13 @@ Status IsobarStreamWriter::WriteAll(ByteSpan data) {
 Status IsobarStreamWriter::StartPipeline(ByteSpan training, ByteSpan probe,
                                          uint64_t element_count,
                                          uint64_t chunk_count) {
-  ISOBAR_ASSIGN_OR_RETURN(
-      pipeline_.trace_id,
+  ISOBAR_RETURN_NOT_OK(
       RunEupaPhase(options_, training, probe, width_, &stats_));
+  // One sequence across the process, so every pipeline's Timeline slices
+  // are told apart whichever writer, thread or call produced them.
+  static std::atomic<uint64_t> last_pipeline_id{0};
+  pipeline_.pipeline_id =
+      last_pipeline_id.fetch_add(1, std::memory_order_relaxed) + 1;
   const EupaDecision& decision = stats_.decision;
   ISOBAR_ASSIGN_OR_RETURN(pipeline_.codec, GetCodec(decision.codec));
   pipeline_.analyzer = Analyzer(options_.analyzer);
@@ -85,7 +89,6 @@ Status IsobarStreamWriter::StartPipeline(ByteSpan training, ByteSpan probe,
   container::AppendHeader(header, &encoded);
   ISOBAR_RETURN_NOT_OK(sink_->Write(encoded));
   stats_.output_bytes += encoded.size();
-  header_bytes_ = encoded.size();
   header_written_ = true;
   return Status::OK();
 }
@@ -122,7 +125,7 @@ Status IsobarStreamWriter::EmitChunk(ByteSpan chunk, ChunkSource source,
   if (num_threads_ <= 1 || (last && in_flight_.empty())) {
     Bytes record;
     ISOBAR_RETURN_NOT_OK(
-        EncodeChunk(pipeline_, chunk, &record, &stats_, nullptr, ordinal));
+        EncodeChunk(pipeline_, chunk, &record, &stats_, ordinal));
     return WriteRecord(record);
   }
 
@@ -149,10 +152,9 @@ Status IsobarStreamWriter::EmitChunk(ByteSpan chunk, ChunkSource source,
     EncodedRecord encoded;
     // EncodeChunk runs on the worker's own arena, reused across every chunk
     // that worker encodes.
-    encoded.status = EncodeChunk(
-        pipeline_, borrowed ? chunk : ByteSpan(owned), &encoded.record,
-        &encoded.stats, pipeline_.trace_id != 0 ? &encoded.trace : nullptr,
-        ordinal);
+    encoded.status =
+        EncodeChunk(pipeline_, borrowed ? chunk : ByteSpan(owned),
+                    &encoded.record, &encoded.stats, ordinal);
     return encoded;
   }));
   if (in_flight_.size() >= 2 * num_threads_) {
@@ -169,20 +171,16 @@ Status IsobarStreamWriter::DrainOne() {
   {
     // A long wait here = the in-order writer stalled on a straggler chunk;
     // the timeline makes the stall and its chunk visible.
-    telemetry::ScopedSpan wait_span(wait_site, pipeline_.trace_id,
+    telemetry::ScopedSpan wait_span(wait_site, pipeline_.pipeline_id,
                                     ordinal + 1);
     encoded = in_flight_.front().get();
     in_flight_.pop_front();
   }
   ISOBAR_RETURN_NOT_OK(encoded.status);
-  telemetry::ScopedSpan append_span(append_site, pipeline_.trace_id,
+  telemetry::ScopedSpan append_span(append_site, pipeline_.pipeline_id,
                                     ordinal + 1);
   ISOBAR_RETURN_NOT_OK(WriteRecord(encoded.record));
   MergeChunkStats(encoded.stats, &stats_);
-  if (pipeline_.trace_id != 0) {
-    telemetry::TraceRecorder::Global().RecordChunk(pipeline_.trace_id,
-                                                   std::move(encoded.trace));
-  }
   return Status::OK();
 }
 
@@ -201,9 +199,6 @@ Status IsobarStreamWriter::Seal() {
     stats_.output_bytes += footer.size();
   }
   finished_ = true;
-  telemetry::TraceRecorder::Global().EndPipeline(
-      pipeline_.trace_id, stats_.input_bytes, stats_.output_bytes,
-      header_bytes_);
   return Status::OK();
 }
 

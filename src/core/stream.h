@@ -10,7 +10,6 @@
 #include "core/isobar.h"
 #include "core/read_plan.h"
 #include "io/sink.h"
-#include "telemetry/trace_export.h"
 #include "util/bytes.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -67,10 +66,6 @@ class IsobarStreamWriter {
   /// first chunk — or Finish() — forced it).
   const CompressionStats& stats() const { return stats_; }
 
-  /// Telemetry pipeline-trace id of this stream (0 when tracing was off
-  /// at pipeline start).
-  uint64_t trace_id() const { return pipeline_.trace_id; }
-
  private:
   // Compress is the writer's batch entry point (WriteAll below).
   friend class IsobarCompressor;
@@ -89,7 +84,6 @@ class IsobarStreamWriter {
     Status status;
     Bytes record;
     CompressionStats stats;
-    telemetry::ChunkTrace trace;
   };
 
   /// Rejects options no container can be written with: a width outside
@@ -105,8 +99,9 @@ class IsobarStreamWriter {
   Status WriteAll(ByteSpan data);
 
   /// Runs the EUPA phase on `training` (analyzer probe `probe`), fixes
-  /// pipeline_, and writes the header declaring `element_count` and
-  /// `chunk_count` (kUnknownCount when the writer cannot know them).
+  /// pipeline_ (taking the next process-wide pipeline id), and writes the
+  /// header declaring `element_count` and `chunk_count` (kUnknownCount
+  /// when the writer cannot know them).
   Status StartPipeline(ByteSpan training, ByteSpan probe,
                        uint64_t element_count, uint64_t chunk_count);
   /// Encodes `chunk` inline when the writer is serial or when it is the
@@ -117,8 +112,7 @@ class IsobarStreamWriter {
   Status WriteRecord(ByteSpan record);
   /// Waits for the oldest in-flight chunk and writes it out.
   Status DrainOne();
-  /// Retires the in-flight chunks, appends the v2 footer, and ends the
-  /// pipeline trace.
+  /// Retires the in-flight chunks and appends the v2 footer.
   Status Seal();
   /// Latches the first emit/drain failure: once a record has been dropped
   /// the container has a hole, so every later Append/Finish must keep
@@ -141,7 +135,6 @@ class IsobarStreamWriter {
   bool finished_ = false;
   ChunkPipeline pipeline_;
   CompressionStats stats_;
-  uint64_t header_bytes_ = 0;
   // Chunk ordinals for timeline tagging: chunks submitted to the pipeline
   // and chunks retired to the sink (the writer side of the same stream).
   uint64_t chunks_emitted_ = 0;

@@ -29,7 +29,7 @@ struct SpanSite {
 };
 
 /// RAII wall-clock timer over one pipeline stage, and that stage's only
-/// clock: the stage's stats and ChunkTrace seconds are its span's End().
+/// clock: the stage's stats seconds are its span's End().
 /// A span always reads the clock, so those numbers exist with telemetry
 /// off or compiled out. When it closes with telemetry on, it also
 /// observes its duration into its site's histogram and, when the Timeline
@@ -48,9 +48,10 @@ struct SpanSite {
 ///   └── writer.append
 class ScopedSpan {
  public:
-  /// Starts the clock. `arg0` tags the span with its pipeline id and
-  /// `arg1` with its chunk ordinal + 1, so timeline tooling can group
-  /// slices per chunk; zero means unset for both.
+  /// Starts the clock. `arg0` tags the span with its pipeline id (the
+  /// writer's process-wide sequence number) and `arg1` with its chunk
+  /// ordinal + 1, so timeline tooling can group slices per pipeline and
+  /// chunk; zero means unset for both.
   explicit ScopedSpan(const SpanSite& site, uint64_t arg0 = 0,
                       uint64_t arg1 = 0);
   ~ScopedSpan() { End(); }

@@ -69,10 +69,10 @@ class Timeline {
  public:
   static Timeline& Global();
 
-  /// Gated separately from metrics (events hold memory, not aggregates),
-  /// same pattern as TraceRecorder. Off by default; one relaxed load per
-  /// emit site when off, and with ISOBAR_TELEMETRY=OFF the check folds to
-  /// constant false.
+  /// Gated separately from metrics (events hold memory, not
+  /// aggregates). Off by default; one relaxed load per emit site when
+  /// off, and with ISOBAR_TELEMETRY=OFF the check folds to constant
+  /// false.
   static bool Enabled() {
     if constexpr (!kCompiledIn) return false;
     return internal::g_timeline_enabled.load(std::memory_order_relaxed);

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <functional>
+#include <numeric>
 #include <thread>
+#include <vector>
 
 #include "core/analyzer.h"
 #include "core/eupa_selector.h"
@@ -160,6 +165,31 @@ TEST(EupaTest, TrainingSampleDrawsExactBudget) {
   // Budget at or above the input: the whole input, verbatim.
   options.sample_elements = 20000;
   EXPECT_EQ(DrawTrainingSample(data, 8, options).size(), data.size());
+}
+
+TEST(EupaTest, TrainingSampleNeverRepeatsAnElement) {
+  // Every element holds a distinct u64, so overlapping runs would show up
+  // as repeated values: the default 16,384-element budget must draw
+  // 16,384 distinct elements at every input size above it.
+  const EupaOptions options;
+  for (const uint64_t n : {16385ull, 20000ull, 100000ull, 1000000ull}) {
+    SCOPED_TRACE(n);
+    std::vector<uint64_t> values(n);
+    std::iota(values.begin(), values.end(), uint64_t{1} << 40);
+    const ByteSpan data(reinterpret_cast<const uint8_t*>(values.data()),
+                        values.size() * sizeof(uint64_t));
+    const Bytes sample = DrawTrainingSample(data, 8, options);
+    ASSERT_EQ(sample.size(), options.sample_elements * 8);
+    std::vector<uint64_t> drawn(options.sample_elements);
+    std::memcpy(drawn.data(), sample.data(), sample.size());
+    // Runs keep input order, so the values ascend strictly.
+    EXPECT_TRUE(std::adjacent_find(drawn.begin(), drawn.end(),
+                                   std::greater_equal<uint64_t>()) ==
+                drawn.end());
+    std::sort(drawn.begin(), drawn.end());
+    EXPECT_EQ(std::unique(drawn.begin(), drawn.end()) - drawn.begin(),
+              static_cast<std::ptrdiff_t>(options.sample_elements));
+  }
 }
 
 TEST(EupaTest, SampleSmallerThanDataStillDecides) {

@@ -3,15 +3,17 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "compressors/registry.h"
+#include "core/container.h"
 #include "core/isobar.h"
+#include "core/read_plan.h"
 #include "datagen/registry.h"
 #include "telemetry/metrics.h"
 #include "telemetry/timeline.h"
-#include "telemetry/trace_export.h"
 #include "util/random.h"
 
 namespace isobar {
@@ -192,18 +194,14 @@ class PipelineTelemetryTest : public ::testing::Test {
   void SetUp() override {
     if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
     telemetry::SetEnabled(true);
-    telemetry::TraceRecorder::Global().SetEnabled(true);
     telemetry::MetricsRegistry::Global().ResetAll();
-    telemetry::TraceRecorder::Global().Clear();
   }
 
   void TearDown() override {
     if (!telemetry::kCompiledIn) return;
     telemetry::SetEnabled(false);
-    telemetry::TraceRecorder::Global().SetEnabled(false);
     telemetry::Timeline::Global().SetEnabled(false);
     telemetry::MetricsRegistry::Global().ResetAll();
-    telemetry::TraceRecorder::Global().Clear();
     telemetry::Timeline::Global().Clear();
   }
 
@@ -246,14 +244,14 @@ TEST_F(PipelineTelemetryTest, CountersMatchCompressionStats) {
 
 TEST_F(PipelineTelemetryTest, CompressStageSlicesCarryTheirChunk) {
   // Each stage slice a chunk's encode leaves on the Timeline names its
-  // pipeline and chunk, once per stage, and the analyzer probe inside
-  // the EUPA phase is billed to eupa.phase rather than chunk.analyze.
+  // pipeline (one nonzero id per call) and chunk, once per stage, and the
+  // analyzer probe inside the EUPA phase is billed to eupa.phase rather
+  // than chunk.analyze.
   auto dataset = Generate("flash_velx", 300000);
   ASSERT_TRUE(dataset.ok());
   telemetry::Timeline::Global().SetEnabled(true);
   for (const size_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
-    telemetry::TraceRecorder::Global().Clear();
     telemetry::Timeline::Global().Clear();
     CompressOptions options;
     options.chunk_elements = 100000;
@@ -266,9 +264,7 @@ TEST_F(PipelineTelemetryTest, CompressStageSlicesCarryTheirChunk) {
         before, telemetry::MetricsRegistry::Global().Snapshot());
     ASSERT_EQ(stats.chunk_count, 3u);
 
-    const auto pipelines = telemetry::TraceRecorder::Global().Snapshot();
-    ASSERT_EQ(pipelines.size(), 1u);
-    const uint64_t pipeline_id = pipelines[0].pipeline_id;
+    std::set<uint64_t> pipeline_ids;
     std::map<std::string, std::vector<uint64_t>> ordinals;
     size_t eupa_phases = 0;
     for (const auto& thread : telemetry::Timeline::Global().Snapshot()) {
@@ -278,7 +274,7 @@ TEST_F(PipelineTelemetryTest, CompressStageSlicesCarryTheirChunk) {
             event.name != "chunk.solve") {
           continue;
         }
-        EXPECT_EQ(event.arg0, pipeline_id) << event.name;
+        pipeline_ids.insert(event.arg0);
         ASSERT_GE(event.arg1, 1u) << event.name;
         ordinals[event.name].push_back(event.arg1 - 1);
       }
@@ -289,6 +285,8 @@ TEST_F(PipelineTelemetryTest, CompressStageSlicesCarryTheirChunk) {
       std::sort(seen.begin(), seen.end());
       EXPECT_EQ(seen, (std::vector<uint64_t>{0, 1, 2})) << stage;
     }
+    ASSERT_EQ(pipeline_ids.size(), 1u);
+    EXPECT_NE(*pipeline_ids.begin(), 0u);
     EXPECT_EQ(eupa_phases, 1u);
     const telemetry::HistogramSnapshot* analyze =
         delta.FindHistogram("span.chunk.analyze.nanos");
@@ -298,40 +296,66 @@ TEST_F(PipelineTelemetryTest, CompressStageSlicesCarryTheirChunk) {
 }
 
 TEST_F(PipelineTelemetryTest, TraceByteTotalsMatchContainer) {
+  // The bytes of each chunk are the container's own record headers (what
+  // `isobar_cli info` lists through ReadPlan::LocateAll) and its time is
+  // the Timeline's compress.chunk slice: together they account for the
+  // whole container, one slice per record.
   auto dataset = Generate("gts_phi_l", 250000);
   ASSERT_TRUE(dataset.ok());
+  telemetry::Timeline::Global().SetEnabled(true);
+  telemetry::Timeline::Global().Clear();
   CompressOptions options;
   options.chunk_elements = 100000;
   const IsobarCompressor compressor(options);
   CompressionStats stats;
   auto compressed = compressor.Compress(dataset->bytes(), 8, &stats);
   ASSERT_TRUE(compressed.ok());
+  EXPECT_EQ(stats.output_bytes, compressed->size());
 
-  const std::vector<telemetry::PipelineTrace> pipelines =
-      telemetry::TraceRecorder::Global().Snapshot();
-  ASSERT_EQ(pipelines.size(), 1u);
-  const telemetry::PipelineTrace& p = pipelines[0];
-  EXPECT_TRUE(p.finished);
-  EXPECT_EQ(p.input_bytes, stats.input_bytes);
-  EXPECT_EQ(p.output_bytes, stats.output_bytes);
-  EXPECT_EQ(p.output_bytes, compressed->size());
-  EXPECT_EQ(p.chunks.size(), stats.chunk_count);
+  auto plan = ReadPlan::Open(*compressed, DecompressOptions{});
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const std::vector<PlannedRecord> records = plan->LocateAll();
+  ASSERT_EQ(records.size(), stats.chunk_count);
+  EXPECT_FALSE(plan->tail_lost());
+  EXPECT_EQ(plan->trailing_bytes(), 0u);
 
-  // The acceptance invariant: per-chunk byte accounting reconstructs the
-  // container's totals exactly (chunk records plus the one header and the
-  // v2 chunk-index footer).
+  // Per-chunk byte accounting reconstructs the container's totals exactly:
+  // the records plus the one header and the v2 chunk-index footer.
   uint64_t chunk_in = 0, chunk_out = 0;
-  for (const telemetry::ChunkTrace& chunk : p.chunks) {
-    chunk_in += chunk.input_bytes;
-    chunk_out += chunk.output_bytes;
+  uint64_t next_offset = container::kHeaderSize;
+  for (const PlannedRecord& record : records) {
+    ASSERT_TRUE(record.damage.ok()) << record.damage.ToString();
+    EXPECT_EQ(record.byte_offset, next_offset) << record.index;
+    EXPECT_EQ(record.header.element_count, record.element_count);
+    const uint64_t record_bytes = container::kChunkHeaderSize +
+                                  record.header.compressed_size +
+                                  record.header.raw_size;
+    chunk_in += record.header.element_count * 8;
+    chunk_out += record_bytes;
+    next_offset += record_bytes;
   }
-  EXPECT_EQ(chunk_in, p.input_bytes);
-  EXPECT_EQ(chunk_out + p.header_bytes +
+  EXPECT_EQ(chunk_in, stats.input_bytes);
+  EXPECT_EQ(container::kHeaderSize + chunk_out +
                 container::FooterBytes(stats.chunk_count),
-            p.output_bytes);
+            stats.output_bytes);
 
-  // EUPA evidence rides along on the trace.
-  EXPECT_EQ(p.candidates.size(), stats.decision.evaluations.size());
+  std::set<uint64_t> pipeline_ids;
+  std::vector<uint64_t> chunks;
+  for (const auto& thread : telemetry::Timeline::Global().Snapshot()) {
+    for (const auto& event : thread.events) {
+      if (event.name != "compress.chunk") continue;
+      pipeline_ids.insert(event.arg0);
+      ASSERT_GE(event.arg1, 1u);
+      chunks.push_back(event.arg1 - 1);
+    }
+  }
+  std::sort(chunks.begin(), chunks.end());
+  EXPECT_EQ(chunks, (std::vector<uint64_t>{0, 1, 2}));
+  ASSERT_EQ(pipeline_ids.size(), 1u);
+  EXPECT_NE(*pipeline_ids.begin(), 0u);
+
+  // EUPA evidence rides along on the stats.
+  EXPECT_FALSE(stats.decision.evaluations.empty());
 }
 
 // ---------------------------------------------------------------------------

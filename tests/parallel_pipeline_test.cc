@@ -1,18 +1,26 @@
 // The contract of the parallel chunk pipeline: for every thread count the
 // emitted container is byte-identical to the serial path's, decompression
-// reconstructs the original, and the telemetry trace layer still accounts
-// for every container byte when chunks are encoded concurrently.
+// reconstructs the original, and when chunks are encoded concurrently the
+// container's record headers still account for every byte while the
+// Timeline names every chunk once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
 
+#include "core/container.h"
 #include "core/isobar.h"
+#include "core/read_plan.h"
 #include "core/stream.h"
 #include "datagen/registry.h"
 #include "io/sink.h"
 #include "telemetry/metrics.h"
-#include "telemetry/trace_export.h"
+#include "telemetry/timeline.h"
+#include "util/crc32c.h"
 
 namespace isobar {
 namespace {
@@ -142,25 +150,88 @@ TEST(ParallelPipelineTest, StreamWriterIsByteIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry under concurrency: traces recorded on worker threads must be
-// stitched back in chunk order with nothing lost.
+// Telemetry under concurrency: worker threads encode the chunks, yet the
+// container holds the records in chunk order and the Timeline names each
+// chunk exactly once under the pipeline's one id.
 
 class ParallelTelemetryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
     telemetry::SetEnabled(true);
-    telemetry::TraceRecorder::Global().SetEnabled(true);
+    telemetry::Timeline::Global().SetEnabled(true);
     telemetry::MetricsRegistry::Global().ResetAll();
-    telemetry::TraceRecorder::Global().Clear();
+    telemetry::Timeline::Global().Clear();
   }
 
   void TearDown() override {
     if (!telemetry::kCompiledIn) return;
     telemetry::SetEnabled(false);
-    telemetry::TraceRecorder::Global().SetEnabled(false);
+    telemetry::Timeline::Global().SetEnabled(false);
     telemetry::MetricsRegistry::Global().ResetAll();
-    telemetry::TraceRecorder::Global().Clear();
+    telemetry::Timeline::Global().Clear();
+  }
+
+  /// Chunk ordinals per chunk-stage slice name, with every pipeline id
+  /// the slices carried and the events the rings overwrote.
+  struct ChunkSlices {
+    std::map<std::string, std::vector<uint64_t>> ordinals;
+    std::set<uint64_t> pipeline_ids;
+    uint64_t dropped = 0;
+  };
+
+  static ChunkSlices CollectChunkSlices() {
+    ChunkSlices slices;
+    for (const auto& thread : telemetry::Timeline::Global().Snapshot()) {
+      slices.dropped += thread.dropped;
+      for (const auto& event : thread.events) {
+        if (event.name != "compress.chunk" && event.name != "chunk.analyze" &&
+            event.name != "chunk.partition" && event.name != "chunk.solve") {
+          continue;
+        }
+        slices.pipeline_ids.insert(event.arg0);
+        EXPECT_GE(event.arg1, 1u) << event.name;
+        slices.ordinals[event.name].push_back(event.arg1 - 1);
+      }
+    }
+    for (auto& [name, seen] : slices.ordinals) {
+      std::sort(seen.begin(), seen.end());
+    }
+    return slices;
+  }
+
+  /// Walks `container`'s records: each must sit right after the previous
+  /// one and hold `chunk_elements` elements of `data` in chunk order.
+  /// Returns header + records + footer bytes, or 0 when the walk fails.
+  static uint64_t AccountRecords(ByteSpan container, const Bytes& data,
+                                 uint64_t chunk_elements,
+                                 uint64_t expected_chunks) {
+    auto plan = ReadPlan::Open(container, DecompressOptions{});
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    if (!plan.ok()) return 0;
+    const std::vector<PlannedRecord> records = plan->LocateAll();
+    EXPECT_EQ(records.size(), expected_chunks);
+    EXPECT_FALSE(plan->tail_lost());
+    uint64_t accounted = container::kHeaderSize;
+    uint64_t input_total = 0;
+    for (size_t i = 0; i < records.size(); ++i) {
+      const PlannedRecord& record = records[i];
+      EXPECT_TRUE(record.damage.ok()) << record.damage.ToString();
+      EXPECT_EQ(record.index, i);
+      EXPECT_EQ(record.byte_offset, accounted) << i;
+      EXPECT_EQ(record.element_offset, i * chunk_elements);
+      EXPECT_EQ(record.header.element_count, chunk_elements) << i;
+      // The record's checksum is over its own slice of the input, so a
+      // record stitched out of order would fail here.
+      const ByteSpan slice = ByteSpan(data).subspan(
+          record.element_offset * 8, record.header.element_count * 8);
+      EXPECT_EQ(record.header.crc32c, crc32c::Value(slice)) << i;
+      input_total += slice.size();
+      accounted += container::kChunkHeaderSize +
+                    record.header.compressed_size + record.header.raw_size;
+    }
+    EXPECT_EQ(input_total, data.size());
+    return accounted + container::FooterBytes(records.size());
   }
 };
 
@@ -168,32 +239,31 @@ TEST_F(ParallelTelemetryTest, ChunkTracesReconstructContainerUnderConcurrency) {
   auto dataset = Generate("flash_velx", 400000);
   ASSERT_TRUE(dataset.ok());
   const IsobarCompressor compressor(MultiChunkOptions(8));
-  auto container = compressor.Compress(dataset->bytes(), 8);
+  CompressionStats stats;
+  auto container = compressor.Compress(dataset->bytes(), 8, &stats);
   ASSERT_TRUE(container.ok());
+  ASSERT_EQ(stats.chunk_count, 8u);
 
-  const auto pipelines = telemetry::TraceRecorder::Global().Snapshot();
-  ASSERT_EQ(pipelines.size(), 1u);
-  const telemetry::PipelineTrace& trace = pipelines[0];
-  ASSERT_TRUE(trace.finished);
-  ASSERT_EQ(trace.chunks.size(), 8u);
-  EXPECT_EQ(trace.dropped_chunks, 0u);
-
-  // Stitched in chunk order: indices are consecutive and the element
-  // stream matches the chunker's layout (equal chunks on this dataset).
-  uint64_t input_total = 0;
-  uint64_t output_total = 0;
-  for (size_t i = 0; i < trace.chunks.size(); ++i) {
-    EXPECT_EQ(trace.chunks[i].chunk_index, i);
-    EXPECT_EQ(trace.chunks[i].element_count, 50000u);
-    input_total += trace.chunks[i].input_bytes;
-    output_total += trace.chunks[i].output_bytes;
-  }
   // Every container byte is accounted for: header + per-chunk records +
-  // the v2 chunk-index footer.
-  EXPECT_EQ(input_total, dataset->data.size());
-  EXPECT_EQ(trace.header_bytes + output_total + container::FooterBytes(8),
+  // the v2 chunk-index footer, the records in chunk order (equal chunks
+  // on this dataset).
+  EXPECT_EQ(AccountRecords(*container, dataset->data, 50000, 8),
             container->size());
-  EXPECT_EQ(trace.output_bytes, container->size());
+  EXPECT_EQ(stats.output_bytes, container->size());
+
+  // Each of the 8 chunks left one slice per stage, all under one id, and
+  // the rings lost none of them.
+  const ChunkSlices slices = CollectChunkSlices();
+  EXPECT_EQ(slices.dropped, 0u);
+  const std::vector<uint64_t> all_chunks{0, 1, 2, 3, 4, 5, 6, 7};
+  for (const char* stage : {"compress.chunk", "chunk.analyze",
+                            "chunk.partition", "chunk.solve"}) {
+    const auto found = slices.ordinals.find(stage);
+    ASSERT_NE(found, slices.ordinals.end()) << stage;
+    EXPECT_EQ(found->second, all_chunks) << stage;
+  }
+  ASSERT_EQ(slices.pipeline_ids.size(), 1u);
+  EXPECT_NE(*slices.pipeline_ids.begin(), 0u);
 }
 
 TEST_F(ParallelTelemetryTest, StreamWriterTracesStitchedInChunkOrder) {
@@ -202,21 +272,24 @@ TEST_F(ParallelTelemetryTest, StreamWriterTracesStitchedInChunkOrder) {
   Bytes buffer;
   MemorySink sink(&buffer);
   IsobarStreamWriter writer(MultiChunkOptions(4), 8, &sink);
-  ASSERT_TRUE(writer.Append(dataset->bytes()).ok());
+  // Uneven appends, so chunks complete mid-call while workers still
+  // encode the ones before them.
+  const ByteSpan data = dataset->bytes();
+  for (size_t offset = 0; offset < data.size();) {
+    const size_t take = std::min<size_t>(300007, data.size() - offset);
+    ASSERT_TRUE(writer.Append(data.subspan(offset, take)).ok());
+    offset += take;
+  }
   ASSERT_TRUE(writer.Finish().ok());
 
-  const auto pipelines = telemetry::TraceRecorder::Global().Snapshot();
-  ASSERT_EQ(pipelines.size(), 1u);
-  const telemetry::PipelineTrace& trace = pipelines[0];
-  ASSERT_TRUE(trace.finished);
-  ASSERT_EQ(trace.chunks.size(), 8u);
-  uint64_t output_total = 0;
-  for (size_t i = 0; i < trace.chunks.size(); ++i) {
-    EXPECT_EQ(trace.chunks[i].chunk_index, i);
-    output_total += trace.chunks[i].output_bytes;
-  }
-  EXPECT_EQ(trace.header_bytes + output_total + container::FooterBytes(8),
-            buffer.size());
+  EXPECT_EQ(AccountRecords(buffer, dataset->data, 50000, 8), buffer.size());
+
+  const ChunkSlices slices = CollectChunkSlices();
+  const auto found = slices.ordinals.find("compress.chunk");
+  ASSERT_NE(found, slices.ordinals.end());
+  EXPECT_EQ(found->second, (std::vector<uint64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  ASSERT_EQ(slices.pipeline_ids.size(), 1u);
+  EXPECT_NE(*slices.pipeline_ids.begin(), 0u);
 }
 
 }  // namespace

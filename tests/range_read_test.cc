@@ -315,6 +315,30 @@ TEST(ColumnReadTest, MaskValidated) {
       StatusCode::kInvalidArgument);
 }
 
+TEST(ColumnReadTest, FailPolicyDoesNotSizeTheDeclaredShape) {
+  // A bare 40-byte v1 header declaring 2^60 + 1 elements of 8 bytes. Under
+  // the default kFail the read fails at the lost tail like Decompress
+  // does, instead of first sizing (and throwing on) the declared planes:
+  // 2^63 + 8 bytes for every column, 2^60 + 1 for one.
+  container::Header header;
+  header.version = container::kVersionV1;
+  header.width = 8;
+  header.element_count = (uint64_t{1} << 60) + 1;
+  header.chunk_elements = uint64_t{1} << 25;
+  header.chunk_count = (header.element_count + header.chunk_elements - 1) /
+                       header.chunk_elements;
+  Bytes bare;
+  container::AppendHeader(header, &bare);
+  ASSERT_EQ(bare.size(), container::kHeaderSize);
+  for (const uint64_t mask : {0xFFull, 0x80ull}) {
+    SCOPED_TRACE(mask);
+    EXPECT_NO_THROW({
+      auto planes = IsobarCompressor::DecompressColumns(bare, mask);
+      EXPECT_FALSE(planes.ok());
+    });
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SeekToChunk.
 

@@ -8,6 +8,7 @@
 
 #include "core/container.h"
 #include "core/isobar.h"
+#include "core/read_plan.h"
 #include "core/stream.h"
 #include "datagen/registry.h"
 #include "io/sink.h"
@@ -255,6 +256,41 @@ TEST(StreamWriterTest, StreamedContainerDecompresses) {
   auto restored = IsobarCompressor::Decompress(stream_out);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(*restored, dataset.data);
+}
+
+TEST(StreamWriterTest, FooterlessContainerListsEveryRecord) {
+  // A streamed v1 container has no footer and its header counts nothing
+  // (sentinels), so the read plan walks it: every record comes back, in
+  // order, and nothing lies past the last one. `isobar_cli info` lists a
+  // container through this walk.
+  const Dataset dataset = HardDataset(45000);
+  CompressOptions options = SmallChunkOptions();
+  options.container_version = container::kVersionV1;
+  Bytes stream_out;
+  MemorySink sink(&stream_out);
+  IsobarStreamWriter writer(options, 8, &sink);
+  ASSERT_TRUE(writer.Append(dataset.bytes()).ok());
+  ASSERT_TRUE(writer.Finish().ok());
+
+  auto plan = ReadPlan::Open(stream_out, DecompressOptions{});
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_FALSE(plan->indexed());
+  EXPECT_FALSE(plan->counted());
+  EXPECT_EQ(plan->header().element_count, container::kUnknownCount);
+  const std::vector<PlannedRecord> records = plan->LocateAll();
+  ASSERT_EQ(records.size(), 3u);
+  const uint64_t expected[] = {20000, 20000, 5000};
+  uint64_t elements = 0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_TRUE(records[i].damage.ok()) << records[i].damage.ToString();
+    EXPECT_EQ(records[i].index, i);
+    EXPECT_EQ(records[i].element_offset, elements);
+    EXPECT_EQ(records[i].header.element_count, expected[i]);
+    elements += records[i].header.element_count;
+  }
+  EXPECT_EQ(elements, 45000u);
+  EXPECT_FALSE(plan->tail_lost());
+  EXPECT_EQ(plan->trailing_bytes(), 0u);
 }
 
 TEST(StreamWriterTest, ArbitraryAppendGranularity) {

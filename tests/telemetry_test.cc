@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cmath>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "core/isobar.h"
+#include "datagen/registry.h"
+#include "telemetry/json_reader.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
 #include "telemetry/timeline.h"
@@ -185,28 +190,23 @@ TEST(JsonCheckerTest, SanityOnKnownInputs) {
   EXPECT_FALSE(IsValidJson("[1 2]"));
 }
 
-// Enables telemetry + tracing with pristine global state, restoring the
-// disabled default on exit so unrelated tests never observe leftovers.
+// Enables telemetry with pristine global state, restoring the disabled
+// default on exit so unrelated tests never observe leftovers.
 class TelemetryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     if (!kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
     SetEnabled(true);
-    TraceRecorder::Global().SetEnabled(true);
     MetricsRegistry::Global().ResetAll();
-    TraceRecorder::Global().Clear();
     Timeline::Global().Clear();
   }
 
   void TearDown() override {
     if (!kCompiledIn) return;
     SetEnabled(false);
-    TraceRecorder::Global().SetEnabled(false);
     Timeline::Global().SetEnabled(false);
     MetricsRegistry::Global().ResetAll();
-    TraceRecorder::Global().Clear();
     Timeline::Global().Clear();
-    TraceRecorder::Global().set_max_chunks_per_pipeline(4096);
   }
 };
 
@@ -490,58 +490,6 @@ TEST_F(TelemetryTest, DisabledSpansAreInert) {
   }
 }
 
-TEST_F(TelemetryTest, TraceRecorderRecordsPipeline) {
-  TraceRecorder& recorder = TraceRecorder::Global();
-  const uint64_t id = recorder.BeginPipeline("zlib", "column", "speed", 8);
-  ASSERT_NE(id, 0u);
-
-  CandidateTrace candidate;
-  candidate.codec = "bzip2";
-  candidate.ratio = 1.5;
-  recorder.RecordCandidate(id, candidate);
-
-  ChunkTrace chunk;
-  chunk.input_bytes = 800;
-  chunk.output_bytes = 500;
-  recorder.RecordChunk(id, chunk);
-  recorder.RecordChunk(id, chunk);
-  recorder.EndPipeline(id, 1600, 1040, 40);
-
-  const std::vector<PipelineTrace> pipelines = recorder.Snapshot();
-  ASSERT_EQ(pipelines.size(), 1u);
-  const PipelineTrace& p = pipelines[0];
-  EXPECT_EQ(p.pipeline_id, id);
-  EXPECT_EQ(p.codec, "zlib");
-  EXPECT_TRUE(p.finished);
-  EXPECT_EQ(p.input_bytes, 1600u);
-  EXPECT_EQ(p.output_bytes, 1040u);
-  EXPECT_EQ(p.header_bytes, 40u);
-  ASSERT_EQ(p.candidates.size(), 1u);
-  EXPECT_EQ(p.candidates[0].codec, "bzip2");
-  ASSERT_EQ(p.chunks.size(), 2u);
-  EXPECT_EQ(p.chunks[0].chunk_index, 0u);
-  EXPECT_EQ(p.chunks[1].chunk_index, 1u);
-}
-
-TEST_F(TelemetryTest, TraceRecorderBoundsChunksPerPipeline) {
-  TraceRecorder& recorder = TraceRecorder::Global();
-  recorder.set_max_chunks_per_pipeline(3);
-  const uint64_t id = recorder.BeginPipeline("zlib", "row", "speed", 8);
-  for (int i = 0; i < 5; ++i) recorder.RecordChunk(id, ChunkTrace{});
-  const std::vector<PipelineTrace> pipelines = recorder.Snapshot();
-  ASSERT_EQ(pipelines.size(), 1u);
-  EXPECT_EQ(pipelines[0].chunks.size(), 3u);
-  EXPECT_EQ(pipelines[0].dropped_chunks, 2u);
-}
-
-TEST_F(TelemetryTest, TraceRecorderDisabledReturnsZeroId) {
-  TraceRecorder& recorder = TraceRecorder::Global();
-  recorder.SetEnabled(false);
-  EXPECT_EQ(recorder.BeginPipeline("zlib", "row", "speed", 8), 0u);
-  recorder.RecordChunk(0, ChunkTrace{});  // must be a harmless no-op
-  EXPECT_TRUE(recorder.Snapshot().empty());
-}
-
 TEST_F(TelemetryTest, MetricsJsonRoundTrip) {
   GetCounter("test.export_counter").Add(123);
   GetHistogram("test.export_histogram").Observe(456);
@@ -572,28 +520,52 @@ TEST_F(TelemetryTest, MetricsCsvHasOneRowPerInstrument) {
 }
 
 TEST_F(TelemetryTest, TraceJsonAndCsvRoundTrip) {
-  TraceRecorder& recorder = TraceRecorder::Global();
-  const uint64_t id = recorder.BeginPipeline("bzip2", "row", "ratio", 4);
-  ChunkTrace chunk;
-  chunk.element_count = 1000;
-  chunk.input_bytes = 4000;
-  chunk.output_bytes = 2000;
-  chunk.improvable = true;
-  chunk.compressible_mask = 0x3;
-  chunk.htc_fraction = 0.5;
-  recorder.RecordChunk(id, chunk);
-  recorder.EndPipeline(id, 4000, 2040, 40);
+  // A pipeline's per-chunk trace is the Timeline's Chrome trace JSON and
+  // its per-stage totals are the metrics CSV. Read back, the JSON names
+  // every chunk once under one pipeline id and the CSV counts the same
+  // chunks.
+  Timeline::Global().SetEnabled(true);
+  auto spec = FindDatasetSpec("gts_phi_l");
+  ASSERT_TRUE(spec.ok());
+  auto dataset = GenerateDataset(**spec, 30000);
+  ASSERT_TRUE(dataset.ok());
+  CompressOptions options;
+  options.chunk_elements = 10000;  // Three chunks.
+  options.eupa.sample_elements = 2048;
+  CompressionStats stats;
+  ASSERT_TRUE(IsobarCompressor(options)
+                  .Compress(dataset->bytes(), dataset->width(), &stats)
+                  .ok());
+  ASSERT_EQ(stats.chunk_count, 3u);
 
-  const std::string json = TraceToJson(recorder.Snapshot());
-  EXPECT_TRUE(IsValidJson(json)) << json;
-  EXPECT_NE(json.find("\"codec\":\"bzip2\""), std::string::npos);
-  EXPECT_NE(json.find("\"compressible_mask\":3"), std::string::npos);
+  const std::string json = TimelineToJson(Timeline::Global().Snapshot());
+  EXPECT_TRUE(IsValidJson(json));
+  auto parsed = ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue* events = parsed->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::set<double> pipelines;
+  std::vector<double> chunks;
+  for (const JsonValue& event : events->array_items()) {
+    if (event.FieldStringOr("name", "") != "compress.chunk") continue;
+    EXPECT_EQ(event.FieldStringOr("ph", ""), "X");
+    const JsonValue* args = event.Find("args");
+    ASSERT_NE(args, nullptr);
+    pipelines.insert(args->FieldNumberOr("pipeline", 0));
+    chunks.push_back(args->FieldNumberOr("chunk", -1));
+  }
+  std::sort(chunks.begin(), chunks.end());
+  EXPECT_EQ(chunks, (std::vector<double>{0, 1, 2}));
+  ASSERT_EQ(pipelines.size(), 1u);
+  EXPECT_GT(*pipelines.begin(), 0);
 
-  const std::string csv = TraceToCsv(recorder.Snapshot());
-  EXPECT_NE(csv.find("pipeline_id,chunk_index"), std::string::npos);
-  // pipeline_id,chunk_index,element_count,input_bytes,output_bytes,...
-  const std::string row = std::to_string(id) + ",0,1000,4000,2000,1,0,3,0.5";
-  EXPECT_NE(csv.find(row), std::string::npos) << csv;
+  // kind,name,count,sum,...: one compress.chunk observation per chunk.
+  const std::string csv = MetricsToCsv(MetricsRegistry::Global().Snapshot());
+  EXPECT_NE(csv.find("histogram,span.compress.chunk.nanos,3,"),
+            std::string::npos)
+      << csv;
+  EXPECT_NE(csv.find("counter,pipeline.chunks_encoded,3,3"), std::string::npos)
+      << csv;
 }
 
 TEST_F(TelemetryTest, CombinedReportIsValidJson) {
@@ -601,9 +573,6 @@ TEST_F(TelemetryTest, CombinedReportIsValidJson) {
   GetCounter("test.report").Increment();
   static const SpanSite site("unit.report");
   ScopedSpan(site, 7, 3).End();
-  const uint64_t id =
-      TraceRecorder::Global().BeginPipeline("zlib", "row", "speed", 8);
-  TraceRecorder::Global().EndPipeline(id, 1, 1, 1);
 
   const std::string report = TelemetryReportJson();
   EXPECT_TRUE(IsValidJson(report)) << report;
@@ -615,7 +584,6 @@ TEST_F(TelemetryTest, CombinedReportIsValidJson) {
                         "\"chunk\":2}"),
             std::string::npos)
       << report;
-  EXPECT_NE(report.find("\"pipelines\""), std::string::npos);
 }
 
 }  // namespace

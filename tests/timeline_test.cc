@@ -2,12 +2,14 @@
 // under a loaded 8-worker pool, wrap-around drop accounting), thread
 // naming, the Chrome trace-event exporter (validated with the strict
 // JSON reader so the export and its consumer check each other), the
-// flight-recorder snapshot, and its embedding in SalvageReport.
+// flight-recorder snapshot, its embedding in SalvageReport, and the
+// pipeline id every compress chunk slice carries.
 #include "telemetry/timeline.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -306,6 +308,49 @@ TEST_F(TimelineTest, CleanDecodeLeavesFlightRecorderEmpty) {
   ASSERT_TRUE(restored.ok());
   EXPECT_TRUE(report.clean());
   EXPECT_TRUE(report.flight_recorder.empty());
+}
+
+TEST_F(TimelineTest, EveryPipelineTagsItsChunkSlices) {
+  // With only the Timeline on, every chunk-stage slice still names its
+  // pipeline: one nonzero id per Compress call, a new one per call.
+  auto spec = FindDatasetSpec("s3d_vmag");
+  ASSERT_TRUE(spec.ok());
+  auto dataset = GenerateDataset(**spec, 30000);
+  ASSERT_TRUE(dataset.ok());
+  for (const uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    CompressOptions options;
+    options.chunk_elements = 10000;  // Three chunks.
+    options.eupa.sample_elements = 2048;
+    options.num_threads = threads;
+    std::vector<uint64_t> call_ids;
+    for (int call = 0; call < 2; ++call) {
+      Timeline::Global().Clear();
+      CompressionStats stats;
+      ASSERT_TRUE(IsobarCompressor(options)
+                      .Compress(dataset->bytes(), dataset->width(), &stats)
+                      .ok());
+      ASSERT_EQ(stats.chunk_count, 3u);
+      std::set<uint64_t> ids;
+      size_t slices = 0;
+      for (const auto& thread : Timeline::Global().Snapshot()) {
+        for (const auto& event : thread.events) {
+          if (event.name != "compress.chunk" &&
+              event.name != "chunk.analyze" &&
+              event.name != "chunk.partition" && event.name != "chunk.solve") {
+            continue;
+          }
+          ++slices;
+          EXPECT_NE(event.arg0, 0u) << event.name;
+          ids.insert(event.arg0);
+        }
+      }
+      EXPECT_EQ(slices, 4u * 3u);
+      ASSERT_EQ(ids.size(), 1u);
+      call_ids.push_back(*ids.begin());
+    }
+    EXPECT_NE(call_ids[0], call_ids[1]);
+  }
 }
 
 }  // namespace
