@@ -4,9 +4,9 @@
 //
 // A thread-sweep mode measures the parallel chunk pipeline: pass
 // --threads=1,2,4,8 (the default sweep) to emit one
-// BM_IsobarCompressMT/BM_IsobarDecompressMT row per thread count, each
-// labeled "threads=N". The flag is consumed here, before google-benchmark
-// parses the remaining arguments.
+// BM_IsobarCompressMT/BM_IsobarDecompressMT/BM_IsobarDecompressBigMT row
+// per thread count, each labeled "threads=N". The flag is consumed here,
+// before google-benchmark parses the remaining arguments.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -23,6 +23,7 @@
 #include "core/analyzer.h"
 #include "core/eupa_selector.h"
 #include "core/isobar.h"
+#include "core/partitioner.h"
 #include "datagen/registry.h"
 #include "fpc/fpc_codec.h"
 #include "fpzip/fpzip_codec.h"
@@ -82,6 +83,27 @@ void BM_ScatterColumns(benchmark::State& state) {
                           static_cast<int64_t>(dest.size()));
 }
 BENCHMARK(BM_ScatterColumns);
+
+// The decoder's merge of one v2 record (both sections column-major): one
+// pass over the destination rows, each plane read from the section that
+// holds it.
+void BM_MergePartition(benchmark::State& state) {
+  const Dataset dataset = HardDataset(375000);
+  Bytes compressible, incompressible;
+  (void)PartitionDataInto(dataset.bytes(), 8, 0xC0, Linearization::kColumn,
+                          &compressible, &incompressible,
+                          Linearization::kColumn);
+  Bytes dest(dataset.data.size());
+  for (auto _ : state) {
+    Status status = MergePartitionInto(
+        compressible, incompressible, 8, 0xC0, Linearization::kColumn,
+        Linearization::kColumn, MutableByteSpan(dest));
+    benchmark::DoNotOptimize(status);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(dest.size()));
+}
+BENCHMARK(BM_MergePartition);
 
 void BM_Crc32c(benchmark::State& state) {
   const Dataset dataset = HardDataset(375000);
@@ -479,6 +501,9 @@ BENCHMARK(BM_RunScan);
 // workers busy at once.
 
 constexpr size_t kSweepElements = 1'500'000;
+// One 48 MB checkpoint variable: an output past the reader's huge-page
+// threshold.
+constexpr size_t kBigSweepElements = 6'000'000;
 
 void BM_IsobarCompressMT(benchmark::State& state, uint32_t threads) {
   const Dataset dataset = HardDataset(kSweepElements);
@@ -495,8 +520,9 @@ void BM_IsobarCompressMT(benchmark::State& state, uint32_t threads) {
   state.SetLabel("threads=" + std::to_string(threads));
 }
 
-void BM_IsobarDecompressMT(benchmark::State& state, uint32_t threads) {
-  const Dataset dataset = HardDataset(kSweepElements);
+void BM_IsobarDecompressMT(benchmark::State& state, uint32_t threads,
+                           size_t elements) {
+  const Dataset dataset = HardDataset(elements);
   CompressOptions options;
   options.eupa.preference = Preference::kSpeed;
   const IsobarCompressor compressor(options);
@@ -544,11 +570,19 @@ void BM_TransposeKernel(benchmark::State& state, simd::Tier tier,
   const simd::KernelTable& kernels = simd::KernelsForTier(tier);
   const size_t n = dataset.data.size() / width;
   Bytes out(n * width);
-  const auto kernel =
-      width == 8 ? (scatter ? kernels.scatter_col_w8 : kernels.gather_col_w8)
-                 : (scatter ? kernels.scatter_col_w4 : kernels.gather_col_w4);
+  // A scatter reads the dataset as `width` consecutive n-byte planes.
+  const uint8_t* planes[8];
+  for (size_t c = 0; c < width; ++c) planes[c] = dataset.data.data() + c * n;
+  const auto gather =
+      width == 8 ? kernels.gather_col_w8 : kernels.gather_col_w4;
+  const auto scatter_planes =
+      width == 8 ? kernels.scatter_col_w8 : kernels.scatter_col_w4;
   for (auto _ : state) {
-    kernel(dataset.data.data(), n, out.data());
+    if (scatter) {
+      scatter_planes(planes, n, out.data());
+    } else {
+      gather(dataset.data.data(), n, out.data());
+    }
     benchmark::DoNotOptimize(out.data());
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
@@ -594,8 +628,9 @@ void RegisterSimdTierBenches() {
   }
 }
 
-/// Registers one compress + one decompress benchmark per swept thread
-/// count; rows appear as BM_IsobarCompressMT/threads:N.
+/// Registers one compress and two decompress benchmarks (1.5 M and 6 M
+/// elements) per swept thread count; rows appear as
+/// BM_IsobarCompressMT/threads:N.
 void RegisterThreadSweep(const std::vector<uint32_t>& sweep) {
   for (uint32_t threads : sweep) {
     benchmark::RegisterBenchmark(
@@ -606,7 +641,13 @@ void RegisterThreadSweep(const std::vector<uint32_t>& sweep) {
     benchmark::RegisterBenchmark(
         ("BM_IsobarDecompressMT/threads:" + std::to_string(threads)).c_str(),
         [threads](benchmark::State& state) {
-          BM_IsobarDecompressMT(state, threads);
+          BM_IsobarDecompressMT(state, threads, kSweepElements);
+        });
+    benchmark::RegisterBenchmark(
+        ("BM_IsobarDecompressBigMT/threads:" + std::to_string(threads))
+            .c_str(),
+        [threads](benchmark::State& state) {
+          BM_IsobarDecompressMT(state, threads, kBigSweepElements);
         });
   }
 }

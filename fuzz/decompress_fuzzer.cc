@@ -8,7 +8,10 @@
 // element total is known, a whole-container DecompressRange under a
 // salvage policy equals Decompress under kZeroFill; (b) unless the tail
 // framing is lost, the concatenated NextChunk output equals Decompress
-// under the same policy.
+// under the same policy; (c) whenever Decompress succeeds under kFail,
+// DecompressColumns equals the column-major gather of that output (the
+// column reader copies byte-planes straight out of the sections, never
+// through the full decoder's merge, so the two outputs are independent).
 //
 // With clang the target links against libFuzzer (-fsanitize=fuzzer, see
 // fuzz/CMakeLists.txt). Other toolchains build the same source as a
@@ -24,6 +27,7 @@
 #include "core/isobar.h"
 #include "core/read_plan.h"
 #include "core/stream.h"
+#include "linearize/transpose.h"
 #include "util/bytes.h"
 
 namespace {
@@ -48,7 +52,11 @@ isobar::DecompressOptions Options(ChunkErrorPolicy policy,
   return options;
 }
 
-void DecodeEveryPolicy(isobar::ByteSpan container, uint64_t total) {
+// Byte-planes the column reads ask for.
+constexpr uint64_t kColumnMask = 0x5;
+
+void DecodeEveryPolicy(isobar::ByteSpan container, uint64_t total,
+                       size_t width) {
   const auto zero_filled = IsobarCompressor::Decompress(
       container, Options(ChunkErrorPolicy::kZeroFill, nullptr));
   for (ChunkErrorPolicy policy : {ChunkErrorPolicy::kFail,
@@ -64,7 +72,17 @@ void DecodeEveryPolicy(isobar::ByteSpan container, uint64_t total) {
     (void)IsobarCompressor::DecompressRange(container, 0, 1, options);
     (void)IsobarCompressor::DecompressRange(container, 500, 1700, options);
     (void)IsobarCompressor::DecompressRange(container, 7, 7, options);
-    (void)IsobarCompressor::DecompressColumns(container, 0x5, options);
+    const auto columns =
+        IsobarCompressor::DecompressColumns(container, kColumnMask, options);
+    if (policy == ChunkErrorPolicy::kFail && batch.ok()) {
+      Bytes planes;
+      const isobar::Status gathered = isobar::GatherColumns(
+          *batch, width, kColumnMask, isobar::Linearization::kColumn, &planes);
+      if (columns.ok() != gathered.ok() ||
+          (columns.ok() && *columns != planes)) {
+        __builtin_trap();  // (c)
+      }
+    }
     if (policy != ChunkErrorPolicy::kFail &&
         total != isobar::container::kUnknownCount) {
       const auto range =
@@ -109,10 +127,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   // would turn one iteration into an allocation benchmark: every reader
   // sizes its output from those ranges (or the declared total).
   uint64_t total = isobar::container::kUnknownCount;
+  size_t width = 0;
   auto plan = isobar::ReadPlan::Open(
       container, Options(ChunkErrorPolicy::kZeroFill, nullptr));
   if (plan.ok()) {
     const isobar::container::Header& header = plan->header();
+    width = header.width;
     const std::vector<isobar::PlannedRecord> records = plan->LocateAll();
     uint64_t elements = records.empty() ? 0 : records.back().element_end();
     if (plan->counted()) {
@@ -129,7 +149,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       return 0;
     }
   }
-  DecodeEveryPolicy(container, total);
+  DecodeEveryPolicy(container, total, width);
   return 0;
 }
 

@@ -213,10 +213,8 @@ Status DecodePayload(const ReadPlan& plan, const PlannedRecord& record,
   if (stats != nullptr) stats->decode_seconds += decode_seconds;
 
   telemetry::ScopedSpan scatter_span(scatter_site, 0, record.index + 1);
-  ISOBAR_RETURN_NOT_OK(ScatterColumns(packed, width, mask,
-                                      plan.header().linearization, dest));
-  ISOBAR_RETURN_NOT_OK(ScatterColumns(
-      record.raw, width, full_mask & ~mask,
+  ISOBAR_RETURN_NOT_OK(MergePartitionInto(
+      packed, record.raw, width, mask, plan.header().linearization,
       container::RawSectionLinearization(plan.header().version), dest));
 
   if (plan.options().verify_checksums) {

@@ -72,7 +72,8 @@ void MergeChunkStats(const CompressionStats& chunk, CompressionStats* total);
 
 /// Reverses one intact record of `plan` into `dest`, which must be
 /// exactly `record.element_count * width` bytes: solver decode (backed by
-/// the thread's ScratchArena), scatter of both sections, and — when the
+/// the thread's ScratchArena), the merge of both sections
+/// (MergePartitionInto), and — when the
 /// plan's options ask for it — CRC-32C verification. Decode/scatter timing
 /// fields of `*stats` are accumulated (may be null). Writes only through
 /// `dest`, so independent records can be decoded concurrently into

@@ -52,6 +52,19 @@ Status PartitionDataInto(ByteSpan data, size_t width,
                          Bytes* incompressible,
                          Linearization raw_linearization = Linearization::kRow);
 
+/// Inverse of PartitionDataInto, writing into a caller-owned buffer:
+/// interleaves the two streams back into `dest`, which holds N whole
+/// elements, in the original element-major byte order. Both section sizes
+/// are checked against N and the mask before any byte is read. When both
+/// sections are column-major and the width is 4 or 8, each destination
+/// row is written once, its byte-planes read from whichever section holds
+/// them; other layouts and widths scatter one section, then the other.
+Status MergePartitionInto(ByteSpan compressible, ByteSpan incompressible,
+                          size_t width, uint64_t compressible_mask,
+                          Linearization linearization,
+                          Linearization raw_linearization,
+                          MutableByteSpan dest);
+
 /// Inverse of PartitionData: interleaves the two streams back into the
 /// original element-major byte order. This is the paper's "merger" acting
 /// on one chunk.

@@ -117,16 +117,14 @@ Status ScatterColumns(ByteSpan packed, size_t width, uint64_t column_mask,
     std::memcpy(dst, src, packed.size());
     return Status::OK();
   }
-  if (full_mask && lin == Linearization::kColumn) {
+  if (full_mask && lin == Linearization::kColumn &&
+      (width == 4 || width == 8)) {
+    const uint8_t* planes[8];
+    for (size_t c = 0; c < width; ++c) planes[c] = src + c * n;
     const simd::KernelTable& kernels = simd::Kernels();
-    if (width == 4) {
-      kernels.scatter_col_w4(src, n, dst);
-      return Status::OK();
-    }
-    if (width == 8) {
-      kernels.scatter_col_w8(src, n, dst);
-      return Status::OK();
-    }
+    (width == 4 ? kernels.scatter_col_w4 : kernels.scatter_col_w8)(planes, n,
+                                                                    dst);
+    return Status::OK();
   }
   if (lin == Linearization::kRow) {
     for (size_t i = 0; i < n; ++i, dst += width) {

@@ -42,9 +42,11 @@ void ResetActiveTierForTesting();
 /// (lower tiers fill in portable implementations), and every tier
 /// produces bit-identical results — histogram counts are exact and the
 /// transposes are pure data movement. The transpose entries cover the
-/// full-mask column-linearization layouts of the two dominant element
-/// widths; partial masks and other widths stay on the callers' generic
-/// strided loops.
+/// column-linearization layouts of the two dominant element widths: the
+/// gathers the full mask, the scatters every mask whose selected and
+/// unselected planes are both column-major (one plane pointer per
+/// column). Other layouts and widths stay on the callers' generic strided
+/// loops.
 struct KernelTable {
   /// Accumulates `n` elements of `width` bytes into per-column byte-value
   /// counters: hists[column * 256 + byte_value] += occurrences.
@@ -54,10 +56,14 @@ struct KernelTable {
   void (*gather_col_w4)(const uint8_t* in, size_t n, uint8_t* out);
   /// out[c * n + i] = in[i * 8 + c] for all n elements, c in [0, 8).
   void (*gather_col_w8)(const uint8_t* in, size_t n, uint8_t* out);
-  /// out[i * 4 + c] = in[c * n + i] (inverse of gather_col_w4).
-  void (*scatter_col_w4)(const uint8_t* in, size_t n, uint8_t* out);
-  /// out[i * 8 + c] = in[c * n + i] (inverse of gather_col_w8).
-  void (*scatter_col_w8)(const uint8_t* in, size_t n, uint8_t* out);
+  /// out[i * 4 + c] = planes[c][i]: interleaves four n-byte planes, each
+  /// from wherever it lives. With planes[c] = in + c * n this is the
+  /// inverse of gather_col_w4.
+  void (*scatter_col_w4)(const uint8_t* const* planes, size_t n,
+                         uint8_t* out);
+  /// out[i * 8 + c] = planes[c][i] (the width-8 scatter_col_w4).
+  void (*scatter_col_w8)(const uint8_t* const* planes, size_t n,
+                         uint8_t* out);
   /// Length (in [1, n]) of the run of bytes equal to data[0] at the start
   /// of data. Requires n >= 1; callers cap n to their maximum run length.
   size_t (*run_scan)(const uint8_t* data, size_t n);

@@ -23,11 +23,13 @@ void HistogramUpdateBlocked(const uint8_t* data, size_t n, size_t width,
 size_t RunScanScalar(const uint8_t* data, size_t n);
 void MtfEncodeScalar(uint8_t* data, size_t n, uint8_t* order);
 
-// --- Full-mask column-linearization transposes (transpose_kernels.cc).
+// --- Column-linearization transposes (transpose_kernels.cc). Gathers
+// read one element-major buffer; scatters read one plane pointer per
+// column, so the planes may come from different sections.
 void GatherColW4Scalar(const uint8_t* in, size_t n, uint8_t* out);
 void GatherColW8Scalar(const uint8_t* in, size_t n, uint8_t* out);
-void ScatterColW4Scalar(const uint8_t* in, size_t n, uint8_t* out);
-void ScatterColW8Scalar(const uint8_t* in, size_t n, uint8_t* out);
+void ScatterColW4Scalar(const uint8_t* const* planes, size_t n, uint8_t* out);
+void ScatterColW8Scalar(const uint8_t* const* planes, size_t n, uint8_t* out);
 
 #if defined(__x86_64__) || defined(__i386__)
 size_t RunScanSse(const uint8_t* data, size_t n);
@@ -36,8 +38,8 @@ void MtfEncodeSse(uint8_t* data, size_t n, uint8_t* order);
 void MtfEncodeAvx2(uint8_t* data, size_t n, uint8_t* order);
 void GatherColW4Sse(const uint8_t* in, size_t n, uint8_t* out);
 void GatherColW8Sse(const uint8_t* in, size_t n, uint8_t* out);
-void ScatterColW4Sse(const uint8_t* in, size_t n, uint8_t* out);
-void ScatterColW8Sse(const uint8_t* in, size_t n, uint8_t* out);
+void ScatterColW4Sse(const uint8_t* const* planes, size_t n, uint8_t* out);
+void ScatterColW8Sse(const uint8_t* const* planes, size_t n, uint8_t* out);
 void GatherColW4Avx2(const uint8_t* in, size_t n, uint8_t* out);
 void GatherColW8Avx2(const uint8_t* in, size_t n, uint8_t* out);
 #endif  // x86

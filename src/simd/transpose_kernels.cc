@@ -18,10 +18,10 @@ inline void GatherColTail(const uint8_t* in, size_t width, size_t n,
   }
 }
 
-inline void ScatterColTail(const uint8_t* in, size_t width, size_t n,
-                           size_t first_row, uint8_t* out) {
+inline void ScatterColTail(const uint8_t* const* planes, size_t width,
+                           size_t n, size_t first_row, uint8_t* out) {
   for (size_t c = 0; c < width; ++c) {
-    const uint8_t* p = in + c * n + first_row;
+    const uint8_t* p = planes[c] + first_row;
     uint8_t* dst = out + first_row * width + c;
     for (size_t i = first_row; i < n; ++i, dst += width) *dst = *p++;
   }
@@ -37,12 +37,14 @@ void GatherColW8Scalar(const uint8_t* in, size_t n, uint8_t* out) {
   GatherColTail(in, 8, n, 0, out);
 }
 
-void ScatterColW4Scalar(const uint8_t* in, size_t n, uint8_t* out) {
-  ScatterColTail(in, 4, n, 0, out);
+void ScatterColW4Scalar(const uint8_t* const* planes, size_t n,
+                        uint8_t* out) {
+  ScatterColTail(planes, 4, n, 0, out);
 }
 
-void ScatterColW8Scalar(const uint8_t* in, size_t n, uint8_t* out) {
-  ScatterColTail(in, 8, n, 0, out);
+void ScatterColW8Scalar(const uint8_t* const* planes, size_t n,
+                        uint8_t* out) {
+  ScatterColTail(planes, 8, n, 0, out);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -145,14 +147,13 @@ __attribute__((target("sse4.2"))) void GatherColW4Sse(const uint8_t* in,
 
 // Width 8 inverse, 8 x N -> N x 8: 16 rows per iteration, contiguous
 // 128-byte row stores assembled from the 8 column registers.
-__attribute__((target("sse4.2"))) void ScatterColW8Sse(const uint8_t* in,
-                                                       size_t n,
-                                                       uint8_t* out) {
+__attribute__((target("sse4.2"))) void ScatterColW8Sse(
+    const uint8_t* const* planes, size_t n, uint8_t* out) {
   size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     __m128i c[8];
     for (size_t k = 0; k < 8; ++k) {
-      c[k] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + k * n + i));
+      c[k] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(planes[k] + i));
     }
     const __m128i u0 = _mm_unpacklo_epi8(c[0], c[1]);  // rows 0-7, cols 0,1
     const __m128i u1 = _mm_unpackhi_epi8(c[0], c[1]);  // rows 8-15
@@ -188,23 +189,22 @@ __attribute__((target("sse4.2"))) void ScatterColW8Sse(const uint8_t* in,
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 112),
                      _mm_unpackhi_epi32(v3, w3));
   }
-  ScatterColTail(in, 8, n, i, out);
+  ScatterColTail(planes, 8, n, i, out);
 }
 
 // Width 4 inverse, 4 x N -> N x 4: 16 rows per iteration.
-__attribute__((target("sse4.2"))) void ScatterColW4Sse(const uint8_t* in,
-                                                       size_t n,
-                                                       uint8_t* out) {
+__attribute__((target("sse4.2"))) void ScatterColW4Sse(
+    const uint8_t* const* planes, size_t n, uint8_t* out) {
   size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     const __m128i c0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 0 * n + i));
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(planes[0] + i));
     const __m128i c1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 1 * n + i));
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(planes[1] + i));
     const __m128i c2 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 2 * n + i));
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(planes[2] + i));
     const __m128i c3 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 3 * n + i));
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(planes[3] + i));
     const __m128i u0 = _mm_unpacklo_epi8(c0, c1);  // rows 0-7, cols 0,1
     const __m128i u1 = _mm_unpackhi_epi8(c0, c1);  // rows 8-15
     const __m128i u2 = _mm_unpacklo_epi8(c2, c3);
@@ -219,7 +219,7 @@ __attribute__((target("sse4.2"))) void ScatterColW4Sse(const uint8_t* in,
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 48),
                      _mm_unpackhi_epi16(u1, u3));  // rows 12-15
   }
-  ScatterColTail(in, 4, n, i, out);
+  ScatterColTail(planes, 4, n, i, out);
 }
 
 // Width 8, AVX2: 32 rows per iteration. The two 128-bit lanes carry rows

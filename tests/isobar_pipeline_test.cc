@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -12,6 +13,7 @@
 #include "core/isobar.h"
 #include "core/read_plan.h"
 #include "datagen/registry.h"
+#include "linearize/transpose.h"
 #include "telemetry/metrics.h"
 #include "telemetry/timeline.h"
 #include "util/random.h"
@@ -185,6 +187,84 @@ TEST(IsobarPipelineTest, StageSecondsSumWithinTotal) {
             cstats.total_seconds);
 }
 
+// Outputs of 32 MiB and up take the readers' huge-page path. Each reader
+// must still return the exact bytes at 4 threads, and under kZeroFill the
+// lost tail of a container truncated inside its last record must read as
+// zeros: a reader that skipped the zero pass would hand back whatever the
+// allocation held.
+TEST(IsobarPipelineTest, LargeOutputsRoundTripAndZeroTheLostTail) {
+  // 36 MiB of doubles repeating every 65,536 elements: noisy low bytes
+  // (the raw section) under near-constant high bytes (the solver's), so
+  // the sanitizer lanes compress it quickly and records merge partial
+  // masks (0xE0).
+  constexpr size_t kElements = (size_t{36} << 20) / 8;
+  constexpr size_t kPeriod = 65536;
+  std::vector<double> period(kPeriod);
+  Xoshiro256 rng(36);
+  for (double& v : period) v = 1.0 + rng.NextDouble() * 1e-3;
+  std::vector<double> values(kElements);
+  for (size_t i = 0; i < kElements; ++i) values[i] = period[i % kPeriod];
+  const ByteSpan plaintext = AsBytes(values);
+
+  CompressOptions options;
+  options.num_threads = 4;
+  options.eupa.forced_codec = CodecId::kLzans;
+  options.eupa.forced_linearization = Linearization::kColumn;
+  auto compressed = IsobarCompressor(options).Compress(plaintext, 8);
+  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+  auto planes = [](ByteSpan bytes) {
+    Bytes out;
+    EXPECT_TRUE(
+        GatherColumns(bytes, 8, 0xFF, Linearization::kColumn, &out).ok());
+    return out;
+  };
+
+  DecompressOptions doptions;
+  doptions.num_threads = 4;
+  auto restored = IsobarCompressor::Decompress(*compressed, doptions);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_TRUE(std::equal(restored->begin(), restored->end(), plaintext.begin(),
+                         plaintext.end()));
+  auto range = IsobarCompressor::DecompressRange(*compressed, 0, kElements,
+                                                 doptions);
+  ASSERT_TRUE(range.ok()) << range.status().ToString();
+  ASSERT_TRUE(*range == *restored);
+  auto columns =
+      IsobarCompressor::DecompressColumns(*compressed, 0xFF, doptions);
+  ASSERT_TRUE(columns.ok()) << columns.status().ToString();
+  ASSERT_TRUE(*columns == planes(plaintext));
+
+  // Cut the container halfway through its last record.
+  auto plan = ReadPlan::Open(*compressed, doptions);
+  ASSERT_TRUE(plan.ok());
+  const std::vector<PlannedRecord> records = plan->LocateAll();
+  ASSERT_GE(records.size(), 2u);
+  const PlannedRecord& last = records.back();
+  const size_t record_end = static_cast<size_t>(
+      last.raw.data() + last.raw.size() - compressed->data());
+  const Bytes truncated(
+      compressed->begin(),
+      compressed->begin() + (last.byte_offset + record_end) / 2);
+  const size_t kept = static_cast<size_t>(last.element_offset) * 8;
+
+  doptions.on_chunk_error = ChunkErrorPolicy::kZeroFill;
+  auto filled = IsobarCompressor::Decompress(truncated, doptions);
+  ASSERT_TRUE(filled.ok()) << filled.status().ToString();
+  ASSERT_EQ(filled->size(), plaintext.size());
+  ASSERT_TRUE(std::equal(filled->begin(), filled->begin() + kept,
+                         plaintext.begin()));
+  ASSERT_TRUE(std::all_of(filled->begin() + kept, filled->end(),
+                          [](uint8_t b) { return b == 0; }));
+  auto filled_range =
+      IsobarCompressor::DecompressRange(truncated, 0, kElements, doptions);
+  ASSERT_TRUE(filled_range.ok()) << filled_range.status().ToString();
+  ASSERT_TRUE(*filled_range == *filled);
+  auto filled_columns =
+      IsobarCompressor::DecompressColumns(truncated, 0xFF, doptions);
+  ASSERT_TRUE(filled_columns.ok()) << filled_columns.status().ToString();
+  ASSERT_TRUE(*filled_columns == planes(*filled));
+}
+
 // ---------------------------------------------------------------------------
 // Telemetry invariants: the observability layer must agree with the
 // pipeline's own statistics byte for byte.
@@ -292,6 +372,61 @@ TEST_F(PipelineTelemetryTest, CompressStageSlicesCarryTheirChunk) {
         delta.FindHistogram("span.chunk.analyze.nanos");
     ASSERT_NE(analyze, nullptr);
     EXPECT_EQ(analyze->count, stats.chunk_count);
+  }
+}
+
+TEST_F(PipelineTelemetryTest, ReaderOutputAllocationIsItsOwnSpan) {
+  // Each reader sizes its output once, as a decompress.output slice
+  // nested (by time, on the same track) inside the reader's own span.
+  auto dataset = Generate("flash_velx", 300000);
+  ASSERT_TRUE(dataset.ok());
+  CompressOptions options;
+  options.chunk_elements = 100000;
+  auto compressed = IsobarCompressor(options).Compress(dataset->bytes(), 8);
+  ASSERT_TRUE(compressed.ok());
+  DecompressOptions doptions;
+  doptions.num_threads = 4;
+  const std::pair<const char*, std::function<bool()>> readers[] = {
+      {"decompress",
+       [&] {
+         return IsobarCompressor::Decompress(*compressed, doptions).ok();
+       }},
+      {"decompress.range",
+       [&] {
+         return IsobarCompressor::DecompressRange(*compressed, 1000, 250000,
+                                                  doptions)
+             .ok();
+       }},
+      {"decompress.columns", [&] {
+         return IsobarCompressor::DecompressColumns(*compressed, 0xC1,
+                                                    doptions)
+             .ok();
+       }}};
+  telemetry::Timeline::Global().SetEnabled(true);
+  for (const auto& [reader, read] : readers) {
+    SCOPED_TRACE(reader);
+    telemetry::Timeline::Global().Clear();
+    const auto before = telemetry::MetricsRegistry::Global().Snapshot();
+    ASSERT_TRUE(read());
+    const auto delta = telemetry::Delta(
+        before, telemetry::MetricsRegistry::Global().Snapshot());
+    std::vector<telemetry::TimelineEventSnapshot> outputs, calls;
+    for (const auto& thread : telemetry::Timeline::Global().Snapshot()) {
+      for (const auto& event : thread.events) {
+        if (event.name == "decompress.output") outputs.push_back(event);
+        if (event.name == reader) calls.push_back(event);
+      }
+    }
+    ASSERT_EQ(outputs.size(), 1u);
+    ASSERT_EQ(calls.size(), 1u);
+    EXPECT_EQ(outputs[0].tid, calls[0].tid);
+    EXPECT_GE(outputs[0].start_nanos, calls[0].start_nanos);
+    EXPECT_LE(outputs[0].start_nanos + outputs[0].duration_nanos,
+              calls[0].start_nanos + calls[0].duration_nanos);
+    const telemetry::HistogramSnapshot* histogram =
+        delta.FindHistogram("span.decompress.output.nanos");
+    ASSERT_NE(histogram, nullptr);
+    EXPECT_EQ(histogram->count, 1u);
   }
 }
 

@@ -290,6 +290,14 @@ TEST(ColumnReadTest, SolverDecodesShowAsChunkDecodeSpans) {
   ASSERT_NE(spans, nullptr);
   EXPECT_EQ(stats.chunk_count, 4u);
   EXPECT_EQ(spans->count, stats.chunk_count);
+  // The read itself is one decompress.columns span, and sizing its
+  // planes one decompress.output span.
+  for (const char* name : {"span.decompress.columns.nanos",
+                           "span.decompress.output.nanos"}) {
+    const auto* call = delta.FindHistogram(name);
+    ASSERT_NE(call, nullptr) << name;
+    EXPECT_EQ(call->count, 1u) << name;
+  }
 }
 
 TEST(ColumnReadTest, V1ContainerColumnsViaStridedGather) {

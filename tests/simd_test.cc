@@ -4,10 +4,12 @@
 #include <cstring>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "compressors/registry.h"
 #include "core/isobar.h"
+#include "core/partitioner.h"
 #include "datagen/registry.h"
 #include "linearize/transpose.h"
 #include "simd/dispatch.h"
@@ -265,11 +267,14 @@ TEST(SimdTransposeTest, GatherScatterKernelsMatchScalar) {
             << "gather tier " << simd::TierToString(tier) << " w" << width
             << " n " << n;
 
-        // Scatter parity on the gathered (column-major) layout, and the
-        // round trip must reproduce the original element-major bytes.
+        // Scatter parity on the gathered (column-major) layout, one plane
+        // pointer per column, and the round trip must reproduce the
+        // original element-major bytes.
+        const uint8_t* planes[8];
+        for (size_t c = 0; c < width; ++c) planes[c] = got.data() + c * n;
         Bytes back(n * width, 0x22);
         auto scatter_t = width == 4 ? k.scatter_col_w4 : k.scatter_col_w8;
-        scatter_t(got.data(), n, back.data());
+        scatter_t(planes, n, back.data());
         ASSERT_EQ(back, in) << "round trip tier " << simd::TierToString(tier)
                             << " w" << width << " n " << n;
       }
@@ -318,6 +323,90 @@ TEST_F(SimdTierTest, GatherColumnsParityAcrossTiersRandomized) {
           ASSERT_EQ(dest[i * width + j], expected)
               << "tier " << simd::TierToString(tiers[t]) << " elem " << i
               << " col " << j;
+        }
+      }
+    }
+  }
+}
+
+// The decoder's merge against its two-pass reference: for every mask of
+// the two kernel widths, both section layouts and both linearizations, on
+// every tier, MergePartitionInto writes every destination byte exactly as
+// two ScatterColumns calls do, and inverts PartitionDataInto.
+TEST_F(SimdTierTest, MergePartitionIntoMatchesTwoScatters) {
+  const Linearization layouts[] = {Linearization::kRow,
+                                   Linearization::kColumn};
+  for (simd::Tier tier : SupportedTiers()) {
+    simd::SetActiveTierForTesting(tier);
+    for (size_t width : {size_t{4}, size_t{8}}) {
+      for (size_t n : {size_t{0}, size_t{1}, size_t{15}, size_t{16},
+                       size_t{17}, size_t{4097}}) {
+        const Bytes data = RandomBytes(n * width, n * 31 + width);
+        for (uint64_t mask = 0; mask <= FullMask(width); ++mask) {
+          for (Linearization lin : layouts) {
+            for (Linearization raw_lin : layouts) {
+              Bytes compressible, incompressible;
+              ASSERT_TRUE(PartitionDataInto(data, width, mask, lin,
+                                            &compressible, &incompressible,
+                                            raw_lin)
+                              .ok());
+              Bytes expect(data.size(), 0);
+              ASSERT_TRUE(ScatterColumns(compressible, width, mask, lin,
+                                         MutableByteSpan(expect))
+                              .ok());
+              ASSERT_TRUE(ScatterColumns(incompressible, width,
+                                         FullMask(width) & ~mask, raw_lin,
+                                         MutableByteSpan(expect))
+                              .ok());
+              Bytes merged(data.size(), 0xA5);
+              ASSERT_TRUE(MergePartitionInto(compressible, incompressible,
+                                             width, mask, lin, raw_lin,
+                                             MutableByteSpan(merged))
+                              .ok());
+              ASSERT_EQ(merged, expect)
+                  << "tier " << simd::TierToString(tier) << " w" << width
+                  << " n " << n << " mask " << mask << " lin "
+                  << LinearizationToString(lin) << " raw "
+                  << LinearizationToString(raw_lin);
+              ASSERT_EQ(merged, data);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// A section whose size disagrees with N and the mask fails the merge
+// before any byte moves: each section below is exactly as long as it
+// claims, so a read past a short one is a heap overflow under ASan, and
+// the destination keeps its sentinel bytes.
+TEST_F(SimdTierTest, MergePartitionIntoRejectsMisSizedSections) {
+  const size_t n = 17;
+  const Linearization layouts[] = {Linearization::kRow,
+                                   Linearization::kColumn};
+  for (simd::Tier tier : SupportedTiers()) {
+    simd::SetActiveTierForTesting(tier);
+    for (size_t width : {size_t{4}, size_t{8}, size_t{16}}) {
+      const uint64_t mask = 0x6;
+      const size_t selected = 2;
+      for (Linearization layout : layouts) {
+        for (const auto& [packed_size, raw_size] :
+             {std::pair{n * selected - 1, n * (width - selected)},
+              std::pair{n * selected + 1, n * (width - selected)},
+              std::pair{n * selected, n * (width - selected) - 1},
+              std::pair{n * selected, n * (width - selected) + 1},
+              std::pair{size_t{0}, size_t{0}}}) {
+          const Bytes compressible = RandomBytes(packed_size, packed_size);
+          const Bytes incompressible = RandomBytes(raw_size, raw_size + 1);
+          Bytes dest(n * width, 0x5A);
+          const Status status = MergePartitionInto(
+              compressible, incompressible, width, mask, layout, layout,
+              MutableByteSpan(dest));
+          EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+              << "tier " << simd::TierToString(tier) << " w" << width
+              << " packed " << packed_size << " raw " << raw_size;
+          EXPECT_EQ(dest, Bytes(n * width, 0x5A));
         }
       }
     }
