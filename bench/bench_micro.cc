@@ -334,6 +334,22 @@ void BM_TansDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_TansDecode);
 
+// Literal-table normalization: a 256-symbol histogram of 30 K literals
+// (the first 30,000 bytes of gts_phi_l, whose noise planes use every byte
+// value), at lzans's literal table log of 11.
+void BM_TansNormalize(benchmark::State& state) {
+  const Dataset dataset = HardDataset(30000 / 8 + 1);
+  std::array<uint64_t, 256> counts{};
+  for (size_t i = 0; i < 30000; ++i) ++counts[dataset.data[i]];
+  tans::NormalizedHistogram hist;
+  for (auto _ : state) {
+    Status status = tans::Normalize(counts.data(), counts.size(), 11, &hist);
+    benchmark::DoNotOptimize(status);
+    benchmark::DoNotOptimize(hist);
+  }
+}
+BENCHMARK(BM_TansNormalize);
+
 // EUPA selection cost on a mixed dataset (6 noise + 2 structured byte
 // columns) under the ratio preference, which trials every candidate.
 void BM_EupaSelect(benchmark::State& state) {
@@ -389,6 +405,27 @@ void BM_IsobarCompress(benchmark::State& state) {
                           static_cast<int64_t>(dataset.data.size()));
 }
 BENCHMARK(BM_IsobarCompress);
+
+// One service-size request: a 32 KiB Compress on one thread, EUPA
+// selection included. The input is below sample_elements, so the training
+// sample is the whole input.
+void BM_IsobarCompressSmall(benchmark::State& state, const char* profile) {
+  auto spec = FindDatasetSpec(profile);
+  auto dataset = GenerateDataset(**spec, 32 << 10);
+  const size_t width = dataset->width();
+  const ByteSpan data = dataset->bytes().first(32 << 10);
+  CompressOptions options;
+  options.num_threads = 1;
+  const IsobarCompressor compressor(options);
+  for (auto _ : state) {
+    auto out = compressor.Compress(data, width);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(data.size()));
+}
+BENCHMARK_CAPTURE(BM_IsobarCompressSmall, xgc_igid, "xgc_igid");
+BENCHMARK_CAPTURE(BM_IsobarCompressSmall, gts_phi_l, "gts_phi_l");
 
 void BM_IsobarDecompress(benchmark::State& state) {
   const Dataset dataset = HardDataset(375000);

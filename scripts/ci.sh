@@ -193,12 +193,12 @@ bench() {
   cmake --build "${dir}" -j "${JOBS}" --target bench_micro bench_pipeline
   echo "=== [${name}] run ==="
   "${dir}/bench/bench_micro" \
-    --benchmark_filter='Kernel|Crc32c|BwtCompressRepetitive|^BM_HistogramUpdate$|^BM_GatherColumns|^BM_ScatterColumns|^BM_HuffmanEncode$|^BM_HuffmanDecode$|^BM_LzssEncode$|^BM_LzssDecode$|^BM_LzAnsCompress$|^BM_LzAnsDecompress$|^BM_TansEncode$|^BM_TansDecode$|^BM_MtfEncode$|^BM_RunScan$' \
+    --benchmark_filter='Kernel|Crc32c|BwtCompressRepetitive|^BM_HistogramUpdate$|^BM_GatherColumns|^BM_ScatterColumns|^BM_HuffmanEncode$|^BM_HuffmanDecode$|^BM_LzssEncode$|^BM_LzssDecode$|^BM_LzAnsCompress$|^BM_LzAnsDecompress$|^BM_TansEncode$|^BM_TansDecode$|^BM_TansNormalize$|^BM_IsobarCompressSmall/|^BM_MtfEncode$|^BM_RunScan$' \
     --benchmark_min_time="${ISOBAR_BENCH_MIN_TIME:-0.1}" \
     --benchmark_format=json > "${out}"
   echo "=== [${name}] compare ==="
   python3 scripts/bench_regression.py "${out}" --strict \
-    --warn-only-pattern 'MT/|/threads:|^BM_E2e'
+    --warn-only-pattern 'MT/|/threads:|^BM_E2e|^BM_TansNormalize$|^BM_IsobarCompressSmall/'
   echo "=== [${name}] e2e run ==="
   "${dir}/bench/bench_pipeline" \
     --benchmark_min_time="${ISOBAR_BENCH_MIN_TIME:-0.1}" \

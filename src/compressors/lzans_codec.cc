@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -132,6 +133,20 @@ void CopyMatch(uint8_t* dst, size_t dist, size_t len) {
   }
 }
 
+// Hash and chain tables of one thread, kept across its calls (768 KiB,
+// held until the thread exits). A call stores position p as base + p + 1,
+// and the next call's base is this one's base + its size, so whatever an
+// earlier call left reads as empty (<= base) without a zeroing pass: the
+// index-offset trick of lz4 and zstd. A call whose positions would pass
+// 32 bits zeroes `head` once and restarts at base 0. `prev` never needs
+// it: a chain only reaches slots its own call wrote, and what they hold
+// came from `head`.
+struct MatchTables {
+  std::vector<uint32_t> head = std::vector<uint32_t>(kHashSize, 0);
+  std::vector<uint32_t> prev = std::vector<uint32_t>(kWindow, 0);
+  uint32_t next_base = 0;
+};
+
 // Stand-in literal source for kLitNone blocks: keeps lit_src non-null so
 // the copy paths in Decompress never dereference (or do arithmetic on) a
 // null pointer, with enough slack for the 16-byte fast-path read. Literal
@@ -148,9 +163,18 @@ Status LzAnsCodec::Compress(ByteSpan input, Bytes* out) const {
   const uint8_t* const data = input.data();
 
   // head[h] = most recent position with hash h; prev[i & (kWindow-1)] =
-  // previous position in the same chain. Positions offset by one, 0 = empty.
-  std::vector<uint32_t> head(kHashSize, 0);
-  std::vector<uint32_t> prev(kWindow, 0);
+  // previous position in the same chain. Positions offset by base + 1;
+  // anything at or below base is empty (MatchTables).
+  thread_local MatchTables tables;
+  if (n > UINT32_MAX - tables.next_base) {
+    std::fill(tables.head.begin(), tables.head.end(), 0);
+    tables.next_base = 0;
+  }
+  const uint32_t base = tables.next_base;
+  tables.next_base =
+      base + static_cast<uint32_t>(std::min<size_t>(n, UINT32_MAX - base));
+  uint32_t* const head = tables.head.data();
+  uint32_t* const prev = tables.prev.data();
 
   std::vector<Seq> seqs;
   Bytes literals;
@@ -164,15 +188,15 @@ Status LzAnsCodec::Compress(ByteSpan input, Bytes* out) const {
     if (pos + kMinMatch > n) return;
     const uint32_t h = lz::Hash4(data + pos, kHashBits);
     prev[pos & (kWindow - 1)] = head[h];
-    head[h] = static_cast<uint32_t>(pos + 1);
+    head[h] = base + static_cast<uint32_t>(pos + 1);
   };
 
   auto find_match = [&](size_t pos, size_t limit) {
     Match best;
     uint32_t candidate = head[lz::Hash4(data + pos, kHashBits)];
     int chain = 0;
-    while (candidate != 0 && chain++ < kMaxChain) {
-      const size_t cand = candidate - 1;
+    while (candidate > base && chain++ < kMaxChain) {
+      const size_t cand = candidate - base - 1;
       if (pos - cand > kWindow) break;
       // Cheap reject: a strictly longer match must agree one byte past
       // the current best.
@@ -208,9 +232,14 @@ Status LzAnsCodec::Compress(ByteSpan input, Bytes* out) const {
     size_t lit_start = bs;
     size_t i = bs;
     uint32_t misses = 0;
+    // The lazy probe's match at i when it deferred to i (len 0 = none):
+    // nothing is inserted between the probe and the next position's
+    // search, so the search would find exactly this.
+    Match deferred;
     while (i < be) {
       if (i + kMinMatch > n) break;  // tail joins the trailing literal run
-      Match best = find_match(i, be - i);
+      Match best = deferred.len != 0 ? deferred : find_match(i, be - i);
+      deferred = Match{};
       bool inserted = false;
       if (best.len >= kMinMatch && best.len < kLazyThreshold &&
           i + 1 + kMinMatch <= n && i + 1 < be) {
@@ -218,7 +247,11 @@ Status LzAnsCodec::Compress(ByteSpan input, Bytes* out) const {
         // match, emit input[i] as a literal and take that one instead.
         insert_pos(i);
         inserted = true;
-        if (find_match(i + 1, be - i - 1).len > best.len) best.len = 0;
+        const Match next = find_match(i + 1, be - i - 1);
+        if (next.len > best.len) {
+          best.len = 0;
+          deferred = next;
+        }
       }
       if (best.len >= kMinMatch) {
         seqs.push_back({static_cast<uint32_t>(i - lit_start),
@@ -233,7 +266,10 @@ Status LzAnsCodec::Compress(ByteSpan input, Bytes* out) const {
         misses = 0;
       } else {
         if (!inserted) insert_pos(i);
-        i += 1 + (misses++ >> kSkipStrength);
+        const size_t step = 1 + (misses++ >> kSkipStrength);
+        // A skip stride lands past the deferred match's position.
+        if (step > 1) deferred = Match{};
+        i += step;
         if (i > be) i = be;
       }
     }

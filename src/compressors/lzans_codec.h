@@ -32,6 +32,11 @@ namespace isobar {
 /// This is the "zstd-class solver family" ROADMAP item: a first-class EUPA
 /// candidate whose decode throughput comes from N-way interleaved ANS
 /// states and long-match copies rather than per-token branching.
+///
+/// Compress keeps its hash and chain tables per thread (768 KiB, held
+/// until the thread exits) instead of allocating and zeroing them per
+/// call; each call offsets its positions past the previous call's, so
+/// the output never depends on what the thread compressed before.
 class LzAnsCodec final : public Codec {
  public:
   CodecId id() const override { return CodecId::kLzans; }

@@ -113,37 +113,49 @@ Status Normalize(const uint64_t* counts, size_t alphabet_size,
   }
 
   // Correction: move the remaining slots to (or reclaim excess from) the
-  // most misrepresented symbol. Cross-multiplied integer comparisons keep
-  // the choice exact and deterministic; ties break on the lowest index.
-  while (assigned != static_cast<int64_t>(table_size)) {
-    size_t pick = alphabet_size;
-    if (assigned < static_cast<int64_t>(table_size)) {
-      // Most under-represented: maximize counts[s] / normalized[s].
-      for (size_t s = 0; s < alphabet_size; ++s) {
-        if (counts[s] == 0) continue;
-        if (pick == alphabet_size ||
-            counts[s] * out->counts[pick] >
-                counts[pick] * out->counts[s]) {
-          pick = s;
-        }
-      }
+  // most misrepresented symbol, one slot at a time. Cross-multiplied
+  // integer comparisons keep the choice exact and deterministic; ties
+  // break on the lowest index. A deficit picks the largest
+  // counts[s] / normalized[s] among present symbols, a surplus the
+  // smallest among those above 1. Only the picked symbol's ratio moves,
+  // so a heap in that order re-sifts one entry per step.
+  const int64_t target = static_cast<int64_t>(table_size);
+  const bool deficit = assigned < target;
+  // True when `b` is picked before `a` (std heaps keep the greatest on top).
+  const auto picked_after = [&](uint16_t a, uint16_t b) {
+    // Both ratios scaled by normalized[a] * normalized[b].
+    const uint64_t ratio_a = counts[a] * out->counts[b];
+    const uint64_t ratio_b = counts[b] * out->counts[a];
+    if (ratio_a != ratio_b) {
+      return deficit ? ratio_a < ratio_b : ratio_a > ratio_b;
+    }
+    return a > b;
+  };
+  std::array<uint16_t, kMaxAlphabet> heap;
+  size_t heap_size = 0;
+  for (size_t s = 0; s < alphabet_size; ++s) {
+    if (deficit ? counts[s] != 0 : out->counts[s] > 1) {
+      heap[heap_size++] = static_cast<uint16_t>(s);
+    }
+  }
+  std::make_heap(heap.begin(), heap.begin() + heap_size, picked_after);
+  while (assigned != target) {
+    if (heap_size == 0) {
+      return Status::Internal("tans: normalization cannot converge");
+    }
+    std::pop_heap(heap.begin(), heap.begin() + heap_size, picked_after);
+    const uint16_t pick = heap[heap_size - 1];
+    if (deficit) {
       out->counts[pick] += 1;
       assigned += 1;
     } else {
-      // Most over-represented with slack: minimize counts[s]/normalized.
-      for (size_t s = 0; s < alphabet_size; ++s) {
-        if (out->counts[s] <= 1) continue;
-        if (pick == alphabet_size ||
-            counts[s] * out->counts[pick] <
-                counts[pick] * out->counts[s]) {
-          pick = s;
-        }
-      }
-      if (pick == alphabet_size) {
-        return Status::Internal("tans: normalization cannot converge");
-      }
       out->counts[pick] -= 1;
       assigned -= 1;
+    }
+    if (!deficit && out->counts[pick] <= 1) {
+      --heap_size;  // No slack left to reclaim.
+    } else {
+      std::push_heap(heap.begin(), heap.begin() + heap_size, picked_after);
     }
   }
   return Status::OK();

@@ -1,6 +1,7 @@
 #ifndef ISOBAR_COMPRESSORS_TANS_H_
 #define ISOBAR_COMPRESSORS_TANS_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -54,7 +55,8 @@ uint32_t OptimalTableLog(uint64_t total, size_t used_symbols,
 /// Normalizes raw counts over [0, alphabet_size) to sum 1 << table_log
 /// (table_log chosen by OptimalTableLog, capped at max_table_log).
 /// Deterministic: correction steps always pick the lowest-index
-/// most-misrepresented symbol. Fails on an all-zero histogram.
+/// most-misrepresented symbol (a heap keeps that order, so a correction
+/// step costs O(log alphabet)). Fails on an all-zero histogram.
 Status Normalize(const uint64_t* counts, size_t alphabet_size,
                  uint32_t max_table_log, NormalizedHistogram* out);
 
@@ -126,13 +128,17 @@ class DecodeTable {
 };
 
 /// Forward bit writer: bits accumulate low-to-high in a 64-bit container
-/// and flush to the output byte stream little-endian. Callers must
-/// FlushIfNeeded often enough that at most 64 bits are pending (every
+/// and flush to the output byte stream little-endian, one 8-byte store at
+/// a write cursor that starts at the end of whatever `*out` already holds.
+/// Between flushes `*out` carries slack bytes past the cursor; Finish()
+/// trims them, so the stream is complete only after it. Callers must
+/// FlushIfNeeded often enough that fewer than 64 bits are pending (every
 /// AddBits call site in this codebase flushes at least once per ~58
 /// pushed bits).
 class BitWriter {
  public:
-  explicit BitWriter(Bytes* out) : out_(out) {}
+  explicit BitWriter(Bytes* out)
+      : out_(out), start_(out->size()), cursor_(out->size()) {}
 
   void AddBits(uint64_t value, uint32_t nb_bits) {
     // nb_bits == 0 must be a no-op; (1<<0)-1 masks everything away.
@@ -142,31 +148,40 @@ class BitWriter {
 
   void FlushIfNeeded() {
     if (filled_ < 8) return;
-    uint8_t buf[8];
-    uint64_t acc = acc_;
-    for (int i = 0; i < 8; ++i) {  // compiles to one 64-bit LE store
-      buf[i] = static_cast<uint8_t>(acc);
-      acc >>= 8;
-    }
+    if (out_->size() - cursor_ < 8) Grow();
+    // All 8 bytes are stored; only the whole ones advance the cursor, and
+    // the next store overwrites the rest.
+    StoreLE64(out_->data() + cursor_, acc_);
     const uint32_t whole = filled_ >> 3;
-    out_->insert(out_->end(), buf, buf + whole);
+    cursor_ += whole;
     acc_ >>= 8 * whole;
     filled_ &= 7;
   }
 
-  /// Appends the 1-bit end-of-stream sentinel and pads to a byte.
+  /// Appends the 1-bit end-of-stream sentinel, pads to a byte and trims
+  /// `*out` to the stream's end.
   void Finish() {
     AddBits(1, 1);
     FlushIfNeeded();
     if (filled_ > 0) {
-      out_->push_back(static_cast<uint8_t>(acc_));
+      if (out_->size() == cursor_) Grow();
+      (*out_)[cursor_++] = static_cast<uint8_t>(acc_);
       acc_ = 0;
       filled_ = 0;
     }
+    out_->resize(cursor_);
   }
 
  private:
+  /// Makes room for an 8-byte store at the cursor, growing by the
+  /// stream's own length so the resizes stay amortized O(1) per byte.
+  void Grow() {
+    out_->resize(cursor_ + 8 + std::max<size_t>(cursor_ - start_, 56));
+  }
+
   Bytes* out_;
+  size_t start_;
+  size_t cursor_;
   uint64_t acc_ = 0;
   uint32_t filled_ = 0;
 };

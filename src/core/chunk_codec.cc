@@ -11,8 +11,19 @@
 
 namespace isobar {
 
+namespace {
+
+bool SameSpan(ByteSpan a, ByteSpan b) {
+  return a.data() == b.data() && a.size() == b.size();
+}
+
+}  // namespace
+
 Status RunEupaPhase(const CompressOptions& options, ByteSpan training,
-                    ByteSpan probe, size_t width, CompressionStats* stats) {
+                    ByteSpan probe, ByteSpan first_chunk, size_t width,
+                    CompressionStats* stats,
+                    std::optional<PresolvedChunk>* presolved) {
+  presolved->reset();
   EupaOptions eupa = options.eupa;
   if (!eupa.forced_codec) eupa.forced_codec = ForcedCodecFromEnv();
   EupaDecision decision;
@@ -29,8 +40,20 @@ Status RunEupaPhase(const CompressOptions& options, ByteSpan training,
                             Analyzer(options.analyzer).Analyze(probe, width));
     const uint64_t mask =
         verdict.improvable() ? verdict.compressible_mask : FullMask(width);
-    ISOBAR_ASSIGN_OR_RETURN(decision,
-                            EupaSelector(eupa).Select(training, width, mask));
+    // The training sample is all of `training` at or below sample_elements
+    // elements (DrawTrainingSample), and the trials gather it with the
+    // mask EncodeChunk will use, so then the winning trial is the first
+    // chunk's solver pass.
+    const bool reuse = SameSpan(training, probe) &&
+                       SameSpan(probe, first_chunk) &&
+                       training.size() / width <= eupa.sample_elements;
+    Bytes winner;
+    ISOBAR_ASSIGN_OR_RETURN(
+        decision, EupaSelector(eupa).Select(training, width, mask,
+                                            reuse ? &winner : nullptr));
+    if (reuse) {
+      presolved->emplace(PresolvedChunk{std::move(verdict), std::move(winner)});
+    }
     stats->eupa_seconds += phase_span.End();
   } else {
     if (eupa.forced_codec) decision.codec = *eupa.forced_codec;
@@ -54,9 +77,23 @@ Status EncodeChunk(const ChunkPipeline& pipeline, ByteSpan chunk, Bytes* out,
   telemetry::ScopedSpan chunk_span(chunk_site, pipeline.pipeline_id, tag);
   const size_t record_base = out->size();
 
+  // Chunk 0 may have been analyzed and solved by the EUPA phase; its
+  // spans still open and close, empty, so every chunk has one of each.
+  const PresolvedChunk* presolved =
+      chunk_ordinal == 0 && pipeline.presolved ? &*pipeline.presolved
+                                               : nullptr;
+  if (presolved != nullptr &&
+      presolved->analysis.element_count != chunk.size() / width) {
+    return Status::Internal("presolved chunk does not match chunk 0");
+  }
+
   telemetry::ScopedSpan analyze_span(analyze_site, pipeline.pipeline_id, tag);
-  ISOBAR_ASSIGN_OR_RETURN(AnalysisResult analysis,
-                          pipeline.analyzer.Analyze(chunk, width));
+  AnalysisResult analyzed;
+  if (presolved == nullptr) {
+    ISOBAR_ASSIGN_OR_RETURN(analyzed, pipeline.analyzer.Analyze(chunk, width));
+  }
+  const AnalysisResult& analysis =
+      presolved != nullptr ? presolved->analysis : analyzed;
   const double analysis_seconds = analyze_span.End();
   if (stats != nullptr) {
     stats->analysis_seconds += analysis_seconds;
@@ -102,12 +139,21 @@ Status EncodeChunk(const ChunkPipeline& pipeline, ByteSpan chunk, Bytes* out,
   if (stats != nullptr) stats->partition_seconds += partition_seconds;
 
   telemetry::ScopedSpan solve_span(solve_site, pipeline.pipeline_id, tag);
-  compressed.clear();  // Arena slot may hold the previous chunk's output.
-  ISOBAR_RETURN_NOT_OK(pipeline.codec->Compress(gathered, &compressed));
+  ByteSpan solved;
+  if (presolved != nullptr) {
+    static telemetry::Counter& trials_reused =
+        telemetry::GetCounter("eupa.trials_reused");
+    trials_reused.Increment();
+    solved = presolved->compressed;
+  } else {
+    compressed.clear();  // Arena slot may hold the previous chunk's output.
+    ISOBAR_RETURN_NOT_OK(pipeline.codec->Compress(gathered, &compressed));
+    solved = compressed;
+  }
   const double codec_seconds = solve_span.End();
   if (stats != nullptr) stats->codec_seconds += codec_seconds;
 
-  const bool stored_raw = compressed.size() >= gathered.size();
+  const bool stored_raw = solved.size() >= gathered.size();
   if (stored_raw) {
     // The solver expanded its input (possible on pure noise): store the
     // gathered bytes verbatim so the container never grows the section.
@@ -117,10 +163,10 @@ Status EncodeChunk(const ChunkPipeline& pipeline, ByteSpan chunk, Bytes* out,
     container::AppendChunkHeader(chunk_header, out);
     out->insert(out->end(), gathered.begin(), gathered.end());
   } else {
-    chunk_header.compressed_size = compressed.size();
+    chunk_header.compressed_size = solved.size();
     chunk_header.raw_size = raw_section.size();
     container::AppendChunkHeader(chunk_header, out);
-    out->insert(out->end(), compressed.begin(), compressed.end());
+    out->insert(out->end(), solved.begin(), solved.end());
   }
   out->insert(out->end(), raw_section.begin(), raw_section.end());
 

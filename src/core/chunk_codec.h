@@ -1,6 +1,8 @@
 #ifndef ISOBAR_CORE_CHUNK_CODEC_H_
 #define ISOBAR_CORE_CHUNK_CODEC_H_
 
+#include <optional>
+
 #include "compressors/codec.h"
 #include "core/analyzer.h"
 #include "core/container.h"
@@ -16,6 +18,15 @@ namespace isobar {
 /// (IsobarStreamWriter, which also serves IsobarCompressor::Compress) and
 /// by every reader.
 
+/// A pipeline's first chunk, analyzed and solver-compressed by its EUPA
+/// phase: the analyzer verdict and the decided codec's output on the
+/// chunk's gathered bytes, which EncodeChunk takes for chunk 0 instead of
+/// running Analyze and the solver again.
+struct PresolvedChunk {
+  AnalysisResult analysis;
+  Bytes compressed;
+};
+
 /// The container writer's EUPA phase, run once per pipeline (§II.C).
 /// Applies the ISOBAR_FORCE_CODEC hook (explicit caller overrides win);
 /// unless codec and linearization are both forced, analyzes `probe` (a
@@ -24,8 +35,16 @@ namespace isobar {
 /// the forced or default pipeline. Sets stats->decision, with the
 /// candidate evidence, and adds the probe + Select wall time to
 /// stats->eupa_seconds.
+///
+/// When `training`, `probe` and `first_chunk` (the pipeline's first
+/// chunk) are one span of at most sample_elements elements, EUPA's
+/// training sample is that chunk, so the probe's verdict and the winning
+/// trial are the chunk's own analysis and solver pass: Select hands the
+/// trial back and *presolved keeps both. Otherwise *presolved is reset.
 Status RunEupaPhase(const CompressOptions& options, ByteSpan training,
-                    ByteSpan probe, size_t width, CompressionStats* stats);
+                    ByteSpan probe, ByteSpan first_chunk, size_t width,
+                    CompressionStats* stats,
+                    std::optional<PresolvedChunk>* presolved);
 
 /// The constants of one compress pipeline, fixed by its EUPA phase and
 /// shared by every chunk it encodes.
@@ -41,6 +60,8 @@ struct ChunkPipeline {
   /// Process-wide pipeline sequence number (1, 2, ... in start order);
   /// tags the pipeline's Timeline slices.
   uint64_t pipeline_id = 0;
+  /// Chunk 0's encode, when the EUPA phase already did it (RunEupaPhase).
+  std::optional<PresolvedChunk> presolved;
 };
 
 /// Analyzes, partitions, and solver-compresses one chunk through
@@ -50,9 +71,13 @@ struct ChunkPipeline {
 /// backs the gather / raw / compressed temporaries, so a worker encoding
 /// many chunks reuses the same steady-state allocations instead of
 /// reallocating per chunk. `chunk_ordinal` is the chunk's 0-based
-/// position in its pipeline, used only to tag the chunk's timeline events
-/// with `{pipeline.pipeline_id, chunk_ordinal}` (so a trace viewer can
-/// follow one chunk across workers); it does not affect the encoding.
+/// position in its pipeline. It tags the chunk's timeline events with
+/// `{pipeline.pipeline_id, chunk_ordinal}` (so a trace viewer can follow
+/// one chunk across workers), and chunk 0 takes `pipeline.presolved`
+/// when set: its verdict and solver output stand in for Analyze and the
+/// solver (counted by `eupa.trials_reused`), while the partition, CRC,
+/// stored-raw check and framing run as for any chunk, so the record's
+/// bytes are the same either way.
 Status EncodeChunk(const ChunkPipeline& pipeline, ByteSpan chunk, Bytes* out,
                    CompressionStats* stats, uint64_t chunk_ordinal = 0);
 

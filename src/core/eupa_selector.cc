@@ -92,7 +92,8 @@ Bytes DrawTrainingSample(ByteSpan data, size_t width,
 }
 
 Result<EupaDecision> EupaSelector::Select(ByteSpan data, size_t width,
-                                          uint64_t compressible_mask) const {
+                                          uint64_t compressible_mask,
+                                          Bytes* winner_output) const {
   if (width == 0 || width > 64) {
     return Status::InvalidArgument("element width must be in [1, 64]");
   }
@@ -182,15 +183,30 @@ Result<EupaDecision> EupaSelector::Select(ByteSpan data, size_t width,
   static telemetry::Counter& trials_pruned =
       telemetry::GetCounter("eupa.trials_pruned");
 
+  // Decision (§II.C: "the EUPA-selector is a deterministic process"): the
+  // best measured ratio, ties to the canonical order. Under kSpeed that is
+  // the best layout of the tier that met the floor (every earlier tier
+  // stayed below it), or the best ratio trialed when none did. Measured
+  // throughput is evidence only, so the same bytes and options give the
+  // same decision at any load. The order is strict, so keeping the best
+  // as the walk goes (in trial order) ends on the same candidate.
+  const auto beats = [&](size_t a, size_t b) {
+    const double ratio_a = decision.evaluations[a].ratio;
+    const double ratio_b = decision.evaluations[b].ratio;
+    return ratio_a > ratio_b || (ratio_a == ratio_b && a < b);
+  };
+
   // The walk. Once a finished tier holds a candidate at or above
   // min_ratio, every later tier is pruned untrialed.
-  double best_measured = 0.0;
+  const size_t kNone = decision.evaluations.size();
+  size_t best = kNone;
   bool floor_met = false;
   for (size_t i = 0; i < trial_order.size(); ++i) {
     const size_t c = trial_order[i];
     CandidateEvaluation& eval = decision.evaluations[c];
     if (i > 0 && tier(c) != tier(trial_order[i - 1])) {
-      floor_met = best_measured >= options_.min_ratio;
+      floor_met = best != kNone &&
+                  decision.evaluations[best].ratio >= options_.min_ratio;
     }
     if (floor_met) {
       eval.pruned = true;
@@ -207,26 +223,17 @@ Result<EupaDecision> EupaSelector::Select(ByteSpan data, size_t width,
                      ? 0.0
                      : static_cast<double>(trial_input.size()) /
                            static_cast<double>(compressed.size());
-    best_measured = std::max(best_measured, eval.ratio);
     trials_run.Increment();
+    if (best == kNone || beats(c, best)) {
+      best = c;
+      if (winner_output != nullptr) winner_output->swap(compressed);
+    }
   }
-
-  // Decision (§II.C: "the EUPA-selector is a deterministic process"): the
-  // best measured ratio, ties to the canonical order. Under kSpeed that is
-  // the best layout of the tier that met the floor (every earlier tier
-  // stayed below it), or the best ratio trialed when none did. Measured
-  // throughput is evidence only, so the same bytes and options give the
-  // same decision at any load.
-  const CandidateEvaluation* best = nullptr;
-  for (const auto& eval : decision.evaluations) {
-    if (eval.pruned) continue;
-    if (best == nullptr || eval.ratio > best->ratio) best = &eval;
-  }
-  if (best == nullptr) {
+  if (best == kNone) {
     return Status::Internal("EUPA selector produced no candidates");
   }
-  decision.codec = best->codec;
-  decision.linearization = best->linearization;
+  decision.codec = decision.evaluations[best].codec;
+  decision.linearization = decision.evaluations[best].linearization;
   return decision;
 }
 

@@ -116,8 +116,15 @@ class EupaSelector {
   /// the full mask: the selector then measures whole-element candidates,
   /// mirroring the paper's behaviour of still choosing the optimal standard
   /// method for non-improvable data.
+  ///
+  /// When `winner_output` is non-null and a trial ran, it receives the
+  /// winning trial's solver output: the decided codec's compression of
+  /// the training sample's `compressible_mask` columns in the decided
+  /// linearization. With at most sample_elements elements the sample is
+  /// all of `data`, so that is the solver pass of `data` as one chunk.
   Result<EupaDecision> Select(ByteSpan data, size_t width,
-                              uint64_t compressible_mask) const;
+                              uint64_t compressible_mask,
+                              Bytes* winner_output = nullptr) const;
 
  private:
   EupaOptions options_;

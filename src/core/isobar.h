@@ -62,9 +62,14 @@ struct CompressionStats {
   /// so the stage sum is aggregate worker time and may exceed
   /// total_seconds (wall clock) by up to the thread count.
   double eupa_seconds = 0.0;       ///< EUPA phase: probe analysis + Select.
-  double analysis_seconds = 0.0;   ///< Per-chunk ISOBAR-analyzer.
+  /// Per-chunk ISOBAR-analyzer. A chunk 0 that took EUPA's winning trial
+  /// (eupa.trials_reused) reuses the probe's verdict: its analysis time
+  /// is in eupa_seconds, and it adds only an empty span here.
+  double analysis_seconds = 0.0;
   double partition_seconds = 0.0;  ///< Gather/linearize.
-  double codec_seconds = 0.0;      ///< Solver time.
+  /// Solver time. A chunk 0 that took EUPA's winning trial runs no solver
+  /// call: its solver pass is the trial, timed in eupa_seconds.
+  double codec_seconds = 0.0;
   double total_seconds = 0.0;
 
   /// CR, Eq. 1.

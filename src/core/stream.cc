@@ -45,9 +45,10 @@ Status IsobarStreamWriter::WriteAll(ByteSpan data) {
   const uint64_t probe_elements = std::min<uint64_t>(
       data.size() / width_,
       std::max<uint64_t>(options_.eupa.sample_elements, 1));
-  ISOBAR_RETURN_NOT_OK(
-      StartPipeline(data, data.subspan(0, probe_elements * width_),
-                    data.size() / width_, chunker.chunk_count()));
+  ISOBAR_RETURN_NOT_OK(StartPipeline(
+      data, data.subspan(0, probe_elements * width_),
+      chunker.chunk_count() > 0 ? chunker.chunk(0) : ByteSpan(),
+      data.size() / width_, chunker.chunk_count()));
   for (uint64_t i = 0; i < chunker.chunk_count(); ++i) {
     ISOBAR_RETURN_NOT_OK(EmitChunk(chunker.chunk(i), ChunkSource::kWholeInput,
                                    i + 1 == chunker.chunk_count()));
@@ -56,10 +57,11 @@ Status IsobarStreamWriter::WriteAll(ByteSpan data) {
 }
 
 Status IsobarStreamWriter::StartPipeline(ByteSpan training, ByteSpan probe,
+                                         ByteSpan first_chunk,
                                          uint64_t element_count,
                                          uint64_t chunk_count) {
-  ISOBAR_RETURN_NOT_OK(
-      RunEupaPhase(options_, training, probe, width_, &stats_));
+  ISOBAR_RETURN_NOT_OK(RunEupaPhase(options_, training, probe, first_chunk,
+                                    width_, &stats_, &pipeline_.presolved));
   // One sequence across the process, so every pipeline's Timeline slices
   // are told apart whichever writer, thread or call produced them.
   static std::atomic<uint64_t> last_pipeline_id{0};
@@ -116,7 +118,8 @@ Status IsobarStreamWriter::EmitChunk(ByteSpan chunk, ChunkSource source,
   if (!header_written_) {
     // A stream decides on its first chunk: the whole chunk trains EUPA and
     // probes the analyzer.
-    ISOBAR_RETURN_NOT_OK(StartPipeline(chunk, chunk, container::kUnknownCount,
+    ISOBAR_RETURN_NOT_OK(StartPipeline(chunk, chunk, chunk,
+                                       container::kUnknownCount,
                                        container::kUnknownCount));
   }
   const uint64_t ordinal = chunks_emitted_++;
@@ -273,7 +276,7 @@ Status IsobarStreamWriter::Finish() {
   if (!header_written_) {
     // A stream with no data at all still needs a valid (empty) container.
     ISOBAR_RETURN_NOT_OK(Poison(StartPipeline(
-        {}, {}, container::kUnknownCount, container::kUnknownCount)));
+        {}, {}, {}, container::kUnknownCount, container::kUnknownCount)));
   }
   ISOBAR_RETURN_NOT_OK(Seal());
   stats_.total_seconds += timer.ElapsedSeconds();

@@ -98,11 +98,12 @@ class IsobarStreamWriter {
   /// must stay alive until the call returns.
   Status WriteAll(ByteSpan data);
 
-  /// Runs the EUPA phase on `training` (analyzer probe `probe`), fixes
-  /// pipeline_ (taking the next process-wide pipeline id), and writes the
-  /// header declaring `element_count` and `chunk_count` (kUnknownCount
-  /// when the writer cannot know them).
-  Status StartPipeline(ByteSpan training, ByteSpan probe,
+  /// Runs the EUPA phase on `training` (analyzer probe `probe`; the
+  /// container's first chunk `first_chunk`, which the phase may encode
+  /// ahead), fixes pipeline_ (taking the next process-wide pipeline id),
+  /// and writes the header declaring `element_count` and `chunk_count`
+  /// (kUnknownCount when the writer cannot know them).
+  Status StartPipeline(ByteSpan training, ByteSpan probe, ByteSpan first_chunk,
                        uint64_t element_count, uint64_t chunk_count);
   /// Encodes `chunk` inline when the writer is serial or when it is the
   /// container's `last` chunk and nothing is in flight; otherwise submits

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <thread>
 
 #include "compressors/codec.h"
+#include "compressors/lzans_codec.h"
 #include "compressors/lzss_codec.h"
 #include "compressors/registry.h"
 #include "compressors/rle_codec.h"
 #include "compressors/zlib_codec.h"
 #include "compressors/bzip2_codec.h"
+#include "datagen/registry.h"
 #include "util/random.h"
 
 namespace isobar {
@@ -37,6 +41,33 @@ Bytes TextLikeBytes(size_t n) {
     const size_t take = std::min(phrase.size(), n - out.size());
     out.insert(out.end(), phrase.begin(), phrase.begin() + take);
   }
+  return out;
+}
+
+// Noise runs, long enough for an LZ parse to start skip-striding, mixed
+// with copies of earlier fragments (some with the last byte flipped), so
+// short and slightly longer matches sit at neighbouring positions: the
+// parse's lazy probe defers while it strides.
+Bytes NoiseAndCopiesBytes(size_t n, uint64_t seed) {
+  Xoshiro256 rng(seed);
+  Bytes out;
+  out.reserve(n + 64);
+  while (out.size() < n) {
+    const uint64_t kind = rng.NextBounded(4);
+    if (kind < 2 || out.size() < 64) {
+      const size_t run = 1 + rng.NextBounded(kind == 0 ? 300 : 8);
+      for (size_t i = 0; i < run; ++i) {
+        out.push_back(static_cast<uint8_t>(rng.Next()));
+      }
+    } else {
+      const size_t src = rng.NextBounded(out.size() - 8);
+      const size_t len =
+          4 + rng.NextBounded(std::min<size_t>(60, out.size() - src - 4));
+      for (size_t i = 0; i < len; ++i) out.push_back(out[src + i]);
+      if (rng.NextBounded(2) != 0) out.back() ^= 1;
+    }
+  }
+  out.resize(n);
   return out;
 }
 
@@ -71,6 +102,8 @@ TEST_P(CodecRoundTripTest, CompressThenDecompressIsIdentity) {
     input = TextLikeBytes(10000);
   } else if (shape == "allzero") {
     input = Bytes(10000, 0);
+  } else if (shape == "noise_and_copies") {
+    input = NoiseAndCopiesBytes(60000, 29);
   }
 
   Bytes compressed;
@@ -113,6 +146,7 @@ INSTANTIATE_TEST_SUITE_P(
         RoundTripCase{CodecId::kLzss, "repetitive"},
         RoundTripCase{CodecId::kLzss, "text"},
         RoundTripCase{CodecId::kLzss, "allzero"},
+        RoundTripCase{CodecId::kLzss, "noise_and_copies"},
         RoundTripCase{CodecId::kHuffman, "empty"},
         RoundTripCase{CodecId::kHuffman, "single"},
         RoundTripCase{CodecId::kHuffman, "random"},
@@ -130,7 +164,8 @@ INSTANTIATE_TEST_SUITE_P(
         RoundTripCase{CodecId::kLzans, "random"},
         RoundTripCase{CodecId::kLzans, "repetitive"},
         RoundTripCase{CodecId::kLzans, "text"},
-        RoundTripCase{CodecId::kLzans, "allzero"}),
+        RoundTripCase{CodecId::kLzans, "allzero"},
+        RoundTripCase{CodecId::kLzans, "noise_and_copies"}),
     CaseName);
 
 // ---------------------------------------------------------------------------
@@ -231,6 +266,96 @@ TEST(LzAnsCodecTest, FullyMatchedBlockHasNoLiterals) {
   Bytes output;
   ASSERT_TRUE((*codec)->Decompress(compressed, input.size(), &output).ok());
   EXPECT_EQ(input, output);
+}
+
+// Feeds constant inputs (RLE blocks, which insert nothing into the match
+// tables) until a call of `next_size` bytes would push the thread's lzans
+// position base, now `base`, past 32 bits and restart it.
+void DriveLzAnsBaseToReset(const Codec& codec, uint64_t base,
+                           size_t next_size) {
+  const uint64_t limit = UINT32_MAX;
+  const Bytes constant(size_t{32} << 20, 0x5A);
+  Bytes out;
+  while (limit - base > constant.size() + next_size / 2) {
+    ASSERT_TRUE(codec.Compress(constant, &out).ok());
+    base += constant.size();
+  }
+  const size_t last = static_cast<size_t>(limit - base - next_size / 2);
+  ASSERT_TRUE(codec.Compress(ByteSpan(constant).first(last), &out).ok());
+}
+
+TEST(LzAnsCodecTest, CallsOnOneThreadMatchAFreshThread) {
+  // lzans keeps its match tables per thread, offsetting each call's
+  // positions past the last call's (the base grows by each call's size).
+  // Whatever a thread compressed before, a call must give what a fresh
+  // thread gives: A (over one 128 KiB block) and B interleaved, then again
+  // once the position base has passed 32 bits and restarted.
+  auto spec = FindDatasetSpec("msg_sppm");
+  ASSERT_TRUE(spec.ok());
+  auto a_data = GenerateDataset(**spec, 300000 / 8);
+  ASSERT_TRUE(a_data.ok());
+  const Bytes a = a_data->data;
+  auto b_spec = FindDatasetSpec("gts_phi_l");
+  ASSERT_TRUE(b_spec.ok());
+  auto b_data = GenerateDataset(**b_spec, 32 << 10);
+  ASSERT_TRUE(b_data.ok());
+  const Bytes b(b_data->data.begin(), b_data->data.begin() + (32 << 10));
+  ASSERT_GT(a.size(), size_t{128} << 10);
+
+  // The restart must forget positions from before it. X (a zero run, then
+  // the 4 bytes P at 33) leaves P's hash pointing at 33. Y is noise with P
+  // at 33, where the parse strides past without inserting it, and P again
+  // (with what follows it) after a 32-byte match, where the parse probes.
+  // Run at the restarted base 0, a leftover entry would hand Y a match at
+  // 33 that a fresh thread never sees.
+  Xoshiro256 rng(41);
+  Bytes y(33);
+  for (auto& byte : y) byte = static_cast<uint8_t>(rng.Next() | 1);
+  const uint32_t p = static_cast<uint32_t>(rng.Next()) | 0x01010101u;
+  for (int k = 0; k < 4; ++k) y.push_back(static_cast<uint8_t>(p >> (8 * k)));
+  while (y.size() < 200) y.push_back(static_cast<uint8_t>(rng.Next() | 1));
+  const Bytes head(y.begin(), y.begin() + 32);
+  const Bytes from_p(y.begin() + 33, y.begin() + 53);
+  y.insert(y.end(), head.begin(), head.end());
+  y.insert(y.end(), from_p.begin(), from_p.end());
+  while (y.size() < 400) y.push_back(static_cast<uint8_t>(rng.Next() | 1));
+  Bytes x(33 + 4 + 16, 0);
+  std::copy(y.begin() + 33, y.begin() + 37, x.begin() + 33);
+
+  const LzAnsCodec codec;
+  const auto fresh_thread = [&codec](const Bytes& input) {
+    Bytes out;
+    Status status;
+    std::thread([&] { status = codec.Compress(input, &out); }).join();
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return out;
+  };
+  const Bytes want_a = fresh_thread(a);
+  const Bytes want_b = fresh_thread(b);
+  const Bytes want_y = fresh_thread(y);
+
+  std::thread([&] {
+    const auto check_abab = [&](const char* phase) {
+      for (const Bytes* input : {&a, &b, &a, &b}) {
+        Bytes out;
+        ASSERT_TRUE(codec.Compress(*input, &out).ok());
+        EXPECT_EQ(out, input == &a ? want_a : want_b) << phase;
+      }
+    };
+    check_abab("first calls");
+    // A restarts the base with the chain table still holding the earlier
+    // calls' positions.
+    DriveLzAnsBaseToReset(codec, 2 * (a.size() + b.size()), a.size());
+    check_abab("after the base restarted");
+  }).join();
+
+  std::thread([&] {
+    Bytes out;
+    ASSERT_TRUE(codec.Compress(x, &out).ok());
+    DriveLzAnsBaseToReset(codec, x.size(), y.size());
+    ASSERT_TRUE(codec.Compress(y, &out).ok());
+    EXPECT_EQ(out, want_y);
+  }).join();
 }
 
 TEST(LzAnsCodecTest, GarbageInputIsCorruption) {

@@ -12,7 +12,9 @@
 #include "core/container.h"
 #include "core/isobar.h"
 #include "core/read_plan.h"
+#include "core/stream.h"
 #include "datagen/registry.h"
+#include "io/sink.h"
 #include "linearize/transpose.h"
 #include "telemetry/metrics.h"
 #include "telemetry/timeline.h"
@@ -185,6 +187,84 @@ TEST(IsobarPipelineTest, StageSecondsSumWithinTotal) {
   EXPECT_LE(cstats.parse_seconds + cstats.decode_seconds +
                 cstats.scatter_seconds,
             cstats.total_seconds);
+}
+
+// EUPA option sets of the reuse oracle: the defaults, the ratio walk, and
+// each dimension forced alone (one forced dimension still runs trials).
+struct EupaOptionSet {
+  const char* name;
+  void (*apply)(EupaOptions*);
+};
+const EupaOptionSet kReuseOptionSets[] = {
+    {"speed", [](EupaOptions*) {}},
+    {"ratio", [](EupaOptions* eupa) { eupa->preference = Preference::kRatio; }},
+    {"forced lzans",
+     [](EupaOptions* eupa) { eupa->forced_codec = CodecId::kLzans; }},
+    {"forced row",
+     [](EupaOptions* eupa) {
+       eupa->forced_linearization = Linearization::kRow;
+     }},
+};
+
+// The stream writer fed `data` in one Append and a Finish.
+Bytes StreamCompress(const CompressOptions& options, ByteSpan data,
+                     size_t width, CompressionStats* stats) {
+  Bytes out;
+  MemorySink sink(&out);
+  IsobarStreamWriter writer(options, width, &sink);
+  EXPECT_TRUE(writer.Append(data).ok());
+  EXPECT_TRUE(writer.Finish().ok());
+  *stats = writer.stats();
+  return out;
+}
+
+// The decision of `stats`, forced: that pipeline without EUPA, and so
+// without a trial to reuse.
+CompressOptions ForcedTo(CompressOptions options,
+                         const CompressionStats& stats) {
+  options.eupa.forced_codec = stats.decision.codec;
+  options.eupa.forced_linearization = stats.decision.linearization;
+  return options;
+}
+
+TEST(IsobarPipelineTest, ReusedTrialMatchesFullyForcedBytes) {
+  // A one-chunk input of at most sample_elements elements is EUPA's whole
+  // training sample, so the writer takes the winning trial as the chunk's
+  // solver pass. Its container must be the one a fully forced run (no
+  // EUPA, nothing to reuse) writes for the same decision: at service size
+  // and on both sides of the sample boundary, for both writers.
+  const uint64_t sample = EupaOptions{}.sample_elements;
+  for (const DatasetSpec& spec : AllDatasetSpecs()) {
+    auto dataset = GenerateDataset(spec, sample + 1);
+    ASSERT_TRUE(dataset.ok()) << spec.name;
+    const size_t width = dataset->width();
+    const uint64_t service_size = (uint64_t{32} << 10) / width;
+    for (const uint64_t n : {service_size, sample, sample + 1}) {
+      const ByteSpan data = dataset->bytes().first(n * width);
+      for (const EupaOptionSet& set : kReuseOptionSets) {
+        SCOPED_TRACE(std::string(spec.name) + " n=" + std::to_string(n) +
+                     " " + set.name);
+        CompressOptions options;
+        set.apply(&options.eupa);
+        CompressionStats stats;
+        auto compressed = IsobarCompressor(options).Compress(data, width,
+                                                             &stats);
+        ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+        auto reference =
+            IsobarCompressor(ForcedTo(options, stats)).Compress(data, width);
+        ASSERT_TRUE(reference.ok());
+        EXPECT_TRUE(*compressed == *reference) << "Compress";
+
+        CompressionStats stream_stats;
+        const Bytes streamed =
+            StreamCompress(options, data, width, &stream_stats);
+        CompressionStats unused;
+        EXPECT_TRUE(streamed == StreamCompress(ForcedTo(options, stream_stats),
+                                               data, width, &unused))
+            << "IsobarStreamWriter";
+      }
+    }
+  }
 }
 
 // Outputs of 32 MiB and up take the readers' huge-page path. Each reader
@@ -372,6 +452,92 @@ TEST_F(PipelineTelemetryTest, CompressStageSlicesCarryTheirChunk) {
         delta.FindHistogram("span.chunk.analyze.nanos");
     ASSERT_NE(analyze, nullptr);
     EXPECT_EQ(analyze->count, stats.chunk_count);
+  }
+}
+
+TEST_F(PipelineTelemetryTest, ReusedTrialCountsOncePerPipeline) {
+  // eupa.trials_reused counts each pipeline whose chunk 0 took the winning
+  // trial: a one-chunk input of at most sample_elements elements, or a
+  // stream whose first chunk is that small. The reused call runs the
+  // solver only for EUPA's trials, and chunk 0 keeps one (empty)
+  // chunk.analyze and chunk.solve slice with no codec slice inside.
+  const uint64_t sample = EupaOptions{}.sample_elements;
+  auto dataset = Generate("gts_phi_l", sample + 1);
+  ASSERT_TRUE(dataset.ok());
+  const size_t width = dataset->width();
+  const struct {
+    const char* name;
+    uint64_t elements;
+    uint64_t chunk_elements;
+    bool stream;
+    uint64_t reused;
+  } cases[] = {
+      {"service size", 8192, kDefaultChunkElements, false, 1},
+      {"at the sample size", sample, kDefaultChunkElements, false, 1},
+      {"above the sample size", sample + 1, kDefaultChunkElements, false, 0},
+      {"more than one chunk", 8192, 1000, false, 0},
+      {"stream of small chunks", 8192, 1000, true, 1},
+      {"stream above the sample size", sample + 1, kDefaultChunkElements,
+       true, 0},
+  };
+  const auto codec_calls = [] {
+    uint64_t calls = 0;
+    for (const auto& counter :
+         telemetry::MetricsRegistry::Global().Snapshot().counters) {
+      if (counter.name.rfind("codec.", 0) == 0 &&
+          counter.name.size() > 15 &&
+          counter.name.compare(counter.name.size() - 15, 15,
+                               ".compress_calls") == 0) {
+        calls += counter.value;
+      }
+    }
+    return calls;
+  };
+  telemetry::Timeline::Global().SetEnabled(true);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    telemetry::MetricsRegistry::Global().ResetAll();
+    telemetry::Timeline::Global().Clear();
+    CompressOptions options;
+    options.chunk_elements = c.chunk_elements;
+    const ByteSpan data = dataset->bytes().first(c.elements * width);
+    CompressionStats stats;
+    if (c.stream) {
+      StreamCompress(options, data, width, &stats);
+    } else {
+      ASSERT_TRUE(IsobarCompressor(options).Compress(data, width, &stats).ok());
+    }
+    const uint64_t trials = CounterValue("eupa.trials_run");
+    ASSERT_GT(trials, 0u);
+    EXPECT_EQ(CounterValue("eupa.trials_reused"), c.reused);
+    EXPECT_EQ(codec_calls(), trials + stats.chunk_count - c.reused);
+    if (c.reused == 0) continue;
+    // The default speed walk trials lzans alone on this profile, so lzans
+    // runs once per trial and once per chunk after the first.
+    EXPECT_EQ(stats.decision.codec, CodecId::kLzans);
+    EXPECT_EQ(CounterValue("codec.lzans.compress_calls"),
+              trials + stats.chunk_count - 1);
+
+    // Chunk 0's solve slice holds no codec slice of its own.
+    size_t solves = 0;
+    size_t analyzes = 0;
+    for (const auto& thread : telemetry::Timeline::Global().Snapshot()) {
+      for (const auto& event : thread.events) {
+        if (event.arg1 != 1) continue;  // Not a chunk 0 slice.
+        if (event.name == "chunk.analyze") ++analyzes;
+        if (event.name != "chunk.solve") continue;
+        ++solves;
+        const int64_t end = event.start_nanos + event.duration_nanos;
+        for (const auto& inner : thread.events) {
+          EXPECT_FALSE(inner.name.rfind("codec.", 0) == 0 &&
+                       inner.start_nanos >= event.start_nanos &&
+                       inner.start_nanos < end)
+              << inner.name;
+        }
+      }
+    }
+    EXPECT_EQ(solves, 1u);
+    EXPECT_EQ(analyzes, 1u);
   }
 }
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <numeric>
 #include <string>
+#include <vector>
 
 #include "util/random.h"
 
@@ -316,6 +319,198 @@ TEST(TansStreamTest, ExtraLeadingBytesFailClosed) {
                                    decoded.data())
                      .ok())
         << "extra=" << extra;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pinning tests. The normalized counts are serialized into every lzans
+// table header and drive every tANS stream, and BitWriter lays out those
+// streams, so both are part of the lzans format: their outputs are pinned
+// to simple references.
+
+// Normalize as a linear scan per correction step: the lowest-index most
+// under-represented symbol gains a slot (deficit), or the lowest-index most
+// over-represented symbol above 1 gives one up (surplus).
+Status ReferenceNormalize(const uint64_t* counts, size_t alphabet_size,
+                          uint32_t max_table_log, NormalizedHistogram* out,
+                          bool* surplus) {
+  *surplus = false;
+  if (alphabet_size == 0 || alphabet_size > kMaxAlphabet) {
+    return Status::InvalidArgument("tans: bad alphabet size");
+  }
+  uint64_t total = 0;
+  size_t used = 0;
+  size_t last_used = 0;
+  for (size_t s = 0; s < alphabet_size; ++s) {
+    total += counts[s];
+    if (counts[s] != 0) {
+      ++used;
+      last_used = s;
+    }
+  }
+  if (used == 0) return Status::InvalidArgument("tans: empty histogram");
+  out->alphabet_size = static_cast<uint32_t>(alphabet_size);
+  out->counts.fill(0);
+  if (used == 1) {
+    out->table_log = kMinTableLog;
+    out->counts[last_used] = static_cast<uint16_t>(1u << kMinTableLog);
+    return Status::OK();
+  }
+  out->table_log = OptimalTableLog(total, used, max_table_log);
+  const int64_t table_size = int64_t{1} << out->table_log;
+  int64_t assigned = 0;
+  for (size_t s = 0; s < alphabet_size; ++s) {
+    if (counts[s] == 0) continue;
+    uint64_t n = (counts[s] * static_cast<uint64_t>(table_size)) / total;
+    if (n == 0) n = 1;
+    out->counts[s] = static_cast<uint16_t>(n);
+    assigned += static_cast<int64_t>(n);
+  }
+  *surplus = assigned > table_size;
+  while (assigned != table_size) {
+    size_t pick = alphabet_size;
+    if (assigned < table_size) {
+      for (size_t s = 0; s < alphabet_size; ++s) {
+        if (counts[s] == 0) continue;
+        if (pick == alphabet_size ||
+            counts[s] * out->counts[pick] > counts[pick] * out->counts[s]) {
+          pick = s;
+        }
+      }
+      out->counts[pick] += 1;
+      assigned += 1;
+    } else {
+      for (size_t s = 0; s < alphabet_size; ++s) {
+        if (out->counts[s] <= 1) continue;
+        if (pick == alphabet_size ||
+            counts[s] * out->counts[pick] < counts[pick] * out->counts[s]) {
+          pick = s;
+        }
+      }
+      if (pick == alphabet_size) {
+        return Status::Internal("tans: normalization cannot converge");
+      }
+      out->counts[pick] -= 1;
+      assigned -= 1;
+    }
+  }
+  return Status::OK();
+}
+
+// A random histogram over `alphabet` symbols totalling about `total`:
+// uniform, geometric (a few dominant symbols and a long rare tail, the
+// shape that over-assigns and forces a surplus) or sparse weights.
+std::vector<uint64_t> RandomHistogram(size_t alphabet, uint64_t total,
+                                      Xoshiro256* rng) {
+  std::vector<double> weights(alphabet);
+  const uint64_t shape = rng->NextBounded(3);
+  for (size_t s = 0; s < alphabet; ++s) {
+    double w = 0.05 + rng->NextDouble();
+    if (shape == 1) w *= std::pow(0.7, static_cast<double>(s % 40));
+    if (shape == 2 && rng->NextBounded(4) != 0) w = 0.0;
+    weights[s] = w;
+  }
+  const double sum = std::accumulate(weights.begin(), weights.end(), 0.0);
+  std::vector<uint64_t> counts(alphabet);
+  for (size_t s = 0; s < alphabet; ++s) {
+    counts[s] = sum > 0.0 ? static_cast<uint64_t>(
+                                static_cast<double>(total) * weights[s] / sum)
+                          : 0;
+  }
+  if (rng->NextBounded(2) == 0) {
+    counts[rng->NextBounded(alphabet)] += 1;  // at least one symbol present
+  }
+  return counts;
+}
+
+TEST(TansNormalizeTest, MatchesLinearScanReference) {
+  Xoshiro256 rng(0x7A45);
+  size_t surpluses = 0;
+  size_t deficits = 0;
+  size_t failures = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    const size_t alphabet = 2 + rng.NextBounded(kMaxAlphabet - 1);
+    // Totals log-uniform over [2, 2^20].
+    const uint64_t total = std::max<uint64_t>(
+        2, static_cast<uint64_t>(std::exp2(1.0 + 19.0 * rng.NextDouble())));
+    const uint32_t max_log = trial % 2 == 0 ? 9 : 11;
+    const std::vector<uint64_t> counts =
+        RandomHistogram(alphabet, total, &rng);
+    NormalizedHistogram want;
+    bool surplus = false;
+    const Status want_status =
+        ReferenceNormalize(counts.data(), alphabet, max_log, &want, &surplus);
+    NormalizedHistogram got;
+    const Status got_status = Normalize(counts.data(), alphabet, max_log, &got);
+    ASSERT_EQ(got_status.code(), want_status.code()) << "trial " << trial;
+    if (!want_status.ok()) {
+      ++failures;
+      continue;
+    }
+    (surplus ? surpluses : deficits) += 1;
+    ASSERT_EQ(got.table_log, want.table_log) << "trial " << trial;
+    ASSERT_EQ(got.alphabet_size, want.alphabet_size) << "trial " << trial;
+    ASSERT_EQ(got.counts, want.counts) << "trial " << trial;
+  }
+  // Both correction directions, and the empty-histogram refusal, ran.
+  EXPECT_GT(surpluses, 100u);
+  EXPECT_GT(deficits, 100u);
+  EXPECT_GT(failures, 0u);
+}
+
+// BitWriter's stream built one bit at a time: bit k of the pushed bits is
+// bit k % 8 of byte k / 8, then a 1-bit sentinel and zero padding.
+class ReferenceBitWriter {
+ public:
+  void AddBits(uint64_t value, uint32_t nb_bits) {
+    for (uint32_t i = 0; i < nb_bits; ++i) bits_.push_back((value >> i) & 1);
+  }
+
+  void Finish(Bytes* out) {
+    bits_.push_back(true);
+    Bytes stream((bits_.size() + 7) / 8, 0);
+    for (size_t k = 0; k < bits_.size(); ++k) {
+      if (bits_[k]) stream[k / 8] |= static_cast<uint8_t>(1u << (k % 8));
+    }
+    out->insert(out->end(), stream.begin(), stream.end());
+  }
+
+ private:
+  std::vector<bool> bits_;
+};
+
+TEST(TansBitWriterTest, MatchesBitAtATimeReference) {
+  Xoshiro256 rng(0xB17);
+  for (int trial = 0; trial < 400; ++trial) {
+    // Half the trials append to a buffer that already holds bytes.
+    const Bytes prefix = trial % 2 == 0 ? Bytes{}
+                                        : Bytes(rng.NextBounded(300), 0xC3);
+    Bytes got = prefix;
+    Bytes want = prefix;
+    BitWriter writer(&got);
+    ReferenceBitWriter reference;
+    const size_t ops = rng.NextBounded(trial < 20 ? 4 : 3000);
+    uint32_t pending = 0;
+    for (size_t op = 0; op < ops; ++op) {
+      // Values carry junk above nb_bits, which both writers must drop.
+      const uint64_t value = rng.Next();
+      const uint32_t nb_bits = static_cast<uint32_t>(rng.NextBounded(33));
+      // The writer's contract: flush before more than 56 bits pend.
+      if (pending + nb_bits > 56) {
+        writer.FlushIfNeeded();
+        pending &= 7;
+      }
+      writer.AddBits(value, nb_bits);
+      reference.AddBits(value, nb_bits);
+      pending += nb_bits;
+      if (rng.NextBounded(3) == 0) {
+        writer.FlushIfNeeded();
+        if (pending >= 8) pending &= 7;
+      }
+    }
+    writer.Finish();
+    reference.Finish(&want);
+    ASSERT_EQ(got, want) << "trial " << trial << ", " << ops << " pushes";
   }
 }
 
